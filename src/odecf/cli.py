@@ -201,8 +201,16 @@ def config_echo(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Fields that change neither the data, the graph nor the trained model.
+_UNHASHED = ("outdir", "log_timing", "eval_n", "exclude_validation_at_test",
+             "sweep_param", "sweep_values")
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.md5(config_echo(cfg).encode("utf-8")).hexdigest()[:12]
+    """Identity of the data, graph and trained model a config produces."""
+    lines = [line for line in config_echo(cfg).splitlines()
+             if line.split(" = ", 1)[0] not in _UNHASHED]
+    return hashlib.md5("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
 def resolve_outdir(outdir: str) -> Path:

@@ -51,6 +51,18 @@ def _rank_from_scores(scores: np.ndarray, target: int) -> int:
     return 1 + greater + tied_lower_id
 
 
+def _check_embeddings(fe, ds: SplitDataset) -> np.ndarray:
+    fe = np.asarray(fe, dtype=np.float64)
+    if fe.ndim != 2 or fe.shape[0] != ds.n_users + ds.n_items:
+        raise EvalError(
+            f"embedding shape {fe.shape} does not match dataset with "
+            f"{ds.n_users}+{ds.n_items} nodes"
+        )
+    if not np.isfinite(fe).all():  # a NaN target would otherwise rank first
+        raise EvalError("embeddings hold non-finite entries; nothing to rank")
+    return fe
+
+
 def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
                  exclusions) -> RankResult:
     """Rank one held-out item against all non-excluded items for one user.
@@ -59,12 +71,7 @@ def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
     candidates with a smaller item id. Excluded items never compete.
     """
     exclusions = set(exclusions)
-    fe = np.asarray(fe, dtype=np.float64)
-    if fe.ndim != 2 or fe.shape[0] != ds.n_users + ds.n_items:
-        raise EvalError(
-            f"embedding shape {fe.shape} does not match dataset with "
-            f"{ds.n_users}+{ds.n_items} nodes"
-        )
+    fe = _check_embeddings(fe, ds)
     if not 0 <= user < ds.n_users:
         raise EvalError(f"user id {user} out of range [0, {ds.n_users})")
     if not 0 <= target < ds.n_items:
@@ -84,18 +91,13 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str,
     """Held-out ranks for every user, computed in user blocks."""
     if mode not in ("validation", "test"):
         raise EvalError(f"mode must be 'validation' or 'test', got {mode!r}")
-    fe = np.asarray(fe, dtype=np.float64)
-    if fe.ndim != 2 or fe.shape[0] != ds.n_users + ds.n_items:
-        raise EvalError(
-            f"embedding shape {fe.shape} does not match dataset with "
-            f"{ds.n_users}+{ds.n_items} nodes"
-        )
+    fe = _check_embeddings(fe, ds)
     targets = ds.validation if mode == "validation" else ds.test
     item_rows = fe[ds.n_users :]
     results: list[RankResult] = []
     for lo in range(0, ds.n_users, chunk_size):
         users = range(lo, min(lo + chunk_size, ds.n_users))
-        with np.errstate(over="ignore"):  # extreme embeddings score +-inf and still rank
+        with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
             block = fe[lo : lo + chunk_size] @ item_rows.T
         for row, u in enumerate(users):
             scores = block[row]

@@ -2,10 +2,11 @@
 
 The trainable state is the initial embedding matrix e0 (users stacked above
 items) plus optional per-hop scalar weights. The derivative of the dynamics is
-g(E) = P(E) - E, where P applies the normalized adjacency n_hops times, each
-hop optionally scaled by its weight. Everything is linear in E, which the
-reverse pass exploits: only the per-hop propagation products are taped, and
-only when the hop weights are trainable.
+g(E) = c A^K E - E: K hops of the normalized adjacency A, scaled by the product
+c of the hop weights. Euler, RK4 and the baseline all map e0 to the final
+embeddings by a symmetric polynomial p(A), so the exact reverse pass is p(A)
+applied to the cotangent, run by the same routine as the forward pass. The
+hop weights need one scalar more, dL/dc, and no tape.
 """
 
 from __future__ import annotations
@@ -96,40 +97,12 @@ class LightGCNState:
 
     @classmethod
     def create(cls, e0, adjacency, n_layers, layer_weights=None) -> "LightGCNState":
-        if n_layers < 0:
-            raise ModelError(f"layer count must be >= 0, got {n_layers}")
-        if layer_weights is None:
-            layer_weights = np.full(n_layers + 1, 1.0 / (n_layers + 1))
-        layer_weights = np.asarray(layer_weights, dtype=np.float64)
-        if layer_weights.shape != (n_layers + 1,):
-            raise ModelError(f"need {n_layers + 1} layer weights, got shape {layer_weights.shape}")
-        return cls(e0=np.asarray(e0, dtype=np.float64), adjacency=adjacency,
-                   n_layers=n_layers, layer_weights=layer_weights)
+        return cls(e0=np.asarray(e0, dtype=np.float64), adjacency=adjacency, n_layers=n_layers,
+                   layer_weights=_layer_weights(n_layers, layer_weights))
 
     def copy(self) -> "LightGCNState":
         return LightGCNState(self.e0.copy(), self.adjacency, self.n_layers,
                              self.layer_weights.copy())
-
-
-@dataclass(eq=False)
-class SolverTape:
-    """Forward intermediates for the reverse pass.
-
-    ``stage_hops[step][stage]`` holds the per-hop propagation products of that
-    derivative evaluation, or None when hop weights are off (the map is linear
-    in E, so the embedding cotangent never needs them).
-    """
-
-    h: float
-    stage_hops: list
-    e_final: np.ndarray
-
-
-@dataclass(eq=False)
-class LayerTape:
-    """Forward record of the baseline; fixed weights need no intermediates."""
-
-    e_final: np.ndarray
 
 
 def _check_rows(emb: np.ndarray, adjacency: SparseAdjacency) -> np.ndarray:
@@ -141,155 +114,139 @@ def _check_rows(emb: np.ndarray, adjacency: SparseAdjacency) -> np.ndarray:
     return emb
 
 
-def _hops_forward(emb, adjacency, n_hops, weights, record):
-    x = emb
-    for k in range(n_hops):
-        y = spmm(adjacency, x)
-        if record is not None:
-            record.append(y)
-        x = weights[k] * y if weights is not None else y
+def _check_finite(emb: np.ndarray) -> np.ndarray:
+    if not np.isfinite(emb).all():
+        raise SolverError("divergent propagation: non-finite embeddings")
+    return emb
+
+
+def _hops(x, adjacency, n_hops):
+    for _ in range(n_hops):
+        x = spmm(adjacency, x)
     return x
 
 
+def _gain(state: ModelState):
+    """c = prod(w_k): the hop weights act only through this one scalar (None when off)."""
+    return float(np.prod(state.hop_weights)) if state.solver.use_weights else None
+
+
 def derivative(emb: np.ndarray, state: ModelState) -> np.ndarray:
-    """g(E) = P(E) - E with P the (optionally weighted) n-hop propagation."""
+    """g(E) = c A^K E - E, with c the product of the hop weights (1 when they are off)."""
     emb = _check_rows(emb, state.adjacency)
-    cfg = state.solver
-    return _hops_forward(emb, state.adjacency, cfg.n_hops, state.hop_weights, None) - emb
+    y = _hops(emb, state.adjacency, state.solver.n_hops)
+    c = _gain(state)
+    return (y if c is None else c * y) - emb
 
 
-def _stage(emb, state, record_hops):
-    hops = [] if record_hops else None
-    g = _hops_forward(emb, state.adjacency, state.solver.n_hops, state.hop_weights, hops) - emb
-    return g, hops
+def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None):
+    """Step any N x d matrix ``e`` through the solver grid; returns (result, aux).
 
+    One step is e <- phi(M) e with M = h(c A^K - I): phi(x) = 1 + x for Euler
+    and its fourth-order Taylor polynomial for RK4. The whole map is a
+    symmetric polynomial in A, hence self-adjoint: the forward pass runs it on
+    e0, the reverse pass on the cotangent of the final embeddings.
 
-def _integrate(state: ModelState, record_tape: bool):
+    ``aux`` is what the hop-weight gradient needs and is None when the weights
+    are off. Forward (``probe`` None) it is the tangent phi'(M) e_{s-1} of the
+    last step; reverse it is <A^K e, probe>, read off the first hop product.
+    """
     cfg = state.solver
     h = cfg.step_size
-    record_hops = record_tape and cfg.use_weights
-    e = _check_rows(state.e0, state.adjacency)
-    steps_tape = []
-    for _ in range(cfg.steps):
-        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check reports divergence
+    c = _gain(state)
+    aux = None
+
+    def g(x):
+        nonlocal aux, probe
+        y = _hops(x, state.adjacency, cfg.n_hops)
+        if probe is not None:  # the first hop product, A^K e
+            aux, probe = float(np.vdot(y, probe)), None
+        return (y if c is None else c * y) - x
+
+    e = _check_rows(e, state.adjacency)
+    forward = probe is None
+    for step in range(cfg.steps):
+        keep_tangent = forward and c is not None and step == cfg.steps - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports divergence
             if cfg.method == "euler":
-                k1, hops1 = _stage(e, state, record_hops)
-                e = e + h * k1
-                stage_hops = [hops1]
+                aux = e if keep_tangent else aux
+                e = e + h * g(e)
             else:
-                k1, hops1 = _stage(e, state, record_hops)
-                k2, hops2 = _stage(e + 0.5 * h * k1, state, record_hops)
-                k3, hops3 = _stage(e + 0.5 * h * k2, state, record_hops)
-                k4, hops4 = _stage(e + h * k3, state, record_hops)
+                k1 = g(e)
+                k2 = g(e + 0.5 * h * k1)
+                k3 = g(e + 0.5 * h * k2)
+                k4 = g(e + h * k3)
+                aux = e + (h / 3.0) * (k2 + 2.0 * k3) if keep_tangent else aux
                 e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                stage_hops = [hops1, hops2, hops3, hops4]
-        if not np.isfinite(e).all():
-            raise SolverError("divergent integration: non-finite embeddings")
-        if record_tape:
-            steps_tape.append(stage_hops)
-    tape = SolverTape(h=h, stage_hops=steps_tape, e_final=e) if record_tape else None
-    return e, tape
+        _check_finite(e)
+    return e, aux
 
 
 def integrate(state: ModelState) -> np.ndarray:
     """Integrate the dynamics from e0 over [0, t1]; returns the final embeddings."""
-    e_final, _ = _integrate(state, record_tape=False)
-    return e_final
+    return _integrate(state, state.e0)[0]
 
 
-def integrate_with_tape(state: ModelState) -> tuple[np.ndarray, SolverTape]:
-    e_final, tape = _integrate(state, record_tape=True)
-    return e_final, tape
-
-
-def _hops_backward(state, hops, cot, dw):
-    """Transpose of the weighted hop chain; adds weight gradients into dw."""
-    cfg = state.solver
-    c = cot
-    for k in reversed(range(cfg.n_hops)):
-        if cfg.use_weights:
-            dw[k] += float(np.sum(c * hops[k]))
-            c = c * state.hop_weights[k]
-        c = spmm(state.adjacency, c)  # adjacency is symmetric
-    return c - cot
-
-
-def backprop_solver(state: ModelState, tape: SolverTape, d_final: np.ndarray):
-    """Exact reverse pass through every solver stage, in reverse step order.
-
-    Returns (d_e0, d_hop_weights or None) for the cotangent ``d_final`` of the
-    integrated embeddings.
-    """
-    cfg = state.solver
-    h = tape.h
-    v = np.asarray(d_final, dtype=np.float64)
-    dw = np.zeros(cfg.n_hops) if cfg.use_weights else None
-    for stage_hops in reversed(tape.stage_hops):
-        if cfg.method == "euler":
-            v = v + _hops_backward(state, stage_hops[0], h * v, dw)
-        else:
-            hops1, hops2, hops3, hops4 = stage_hops
-            de = v.copy()
-            dx4 = _hops_backward(state, hops4, (h / 6.0) * v, dw)
-            de += dx4
-            dx3 = _hops_backward(state, hops3, (h / 3.0) * v + h * dx4, dw)
-            de += dx3
-            dx2 = _hops_backward(state, hops2, (h / 3.0) * v + 0.5 * h * dx3, dw)
-            de += dx2
-            dx1 = _hops_backward(state, hops1, (h / 6.0) * v + 0.5 * h * dx2, dw)
-            de += dx1
-            v = de
-    return v, dw
+def _layer_weights(n_layers: int, layer_weights) -> np.ndarray:
+    if n_layers < 0:
+        raise ModelError(f"layer count must be >= 0, got {n_layers}")
+    if layer_weights is None:
+        return np.full(n_layers + 1, 1.0 / (n_layers + 1))
+    layer_weights = np.asarray(layer_weights, dtype=np.float64)
+    if layer_weights.shape != (n_layers + 1,):
+        raise ModelError(f"need {n_layers + 1} layer weights, got shape {layer_weights.shape}")
+    return layer_weights
 
 
 def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int,
                      layer_weights=None) -> np.ndarray:
-    """Layer-combination forward: E_f = sum_l w_l A^l E_0, uniform weights by default."""
-    if n_layers < 0:
-        raise ModelError(f"layer count must be >= 0, got {n_layers}")
-    if layer_weights is None:
-        layer_weights = np.full(n_layers + 1, 1.0 / (n_layers + 1))
-    layer_weights = np.asarray(layer_weights, dtype=np.float64)
-    if layer_weights.shape != (n_layers + 1,):
-        raise ModelError(f"need {n_layers + 1} layer weights, got shape {layer_weights.shape}")
+    """Layer-combination forward: E_f = sum_l w_l A^l E_0, uniform weights by default.
+
+    A symmetric polynomial in A, so it is also its own reverse pass.
+    """
+    layer_weights = _layer_weights(n_layers, layer_weights)
     e0 = _check_rows(e0, adjacency)
     acc = layer_weights[0] * e0
     cur = e0
     for l in range(1, n_layers + 1):
         cur = spmm(adjacency, cur)
         acc = acc + layer_weights[l] * cur
-    return acc
+    return _check_finite(acc)
 
 
-def backprop_lightgcn(state: LightGCNState, d_final: np.ndarray) -> np.ndarray:
-    """Transpose of the layer combination (A symmetric): d_e0 = sum_l w_l A^l dE_f."""
-    v = np.asarray(d_final, dtype=np.float64)
-    acc = state.layer_weights[0] * v
-    cur = v
-    for l in range(1, state.n_layers + 1):
-        cur = spmm(state.adjacency, cur)
-        acc = acc + state.layer_weights[l] * cur
-    return acc
+def model_forward(state):
+    """Final embeddings and the reverse pass's context: (fe, ctx).
 
-
-def model_forward(state, record_tape: bool = False):
-    """Uniform forward dispatch; returns (final embeddings, tape or None)."""
+    ctx is the one N x d tangent of the last solver step when hop weights
+    train, and None otherwise.
+    """
     if isinstance(state, ModelState):
-        return _integrate(state, record_tape)
-    fe = lightgcn_forward(state.e0, state.adjacency, state.n_layers, state.layer_weights)
-    return fe, (LayerTape(e_final=fe) if record_tape else None)
+        return _integrate(state, state.e0)
+    return lightgcn_forward(state.e0, state.adjacency, state.n_layers, state.layer_weights), None
 
 
-def model_backward(state, tape, d_final):
-    """Uniform reverse dispatch; returns (d_e0, d_hop_weights or None)."""
-    if isinstance(state, ModelState):
-        return backprop_solver(state, tape, d_final)
-    return backprop_lightgcn(state, d_final), None
+def model_backward(state, ctx, d_fe):
+    """Exact reverse pass: (d_e0, d_hop_weights or None) for the cotangent d_fe.
+
+    d_e0 = p(A) d_fe, the forward map applied to the cotangent. The hop
+    weights get dL/dc = h * steps * <A^K d_fe, ctx> and
+    dL/dw_k = (prod_{j != k} w_j) dL/dc.
+    """
+    if not isinstance(state, ModelState):
+        return lightgcn_forward(d_fe, state.adjacency, state.n_layers, state.layer_weights), None
+    cfg = state.solver
+    if cfg.use_weights and ctx is None:
+        raise ModelError("the hop-weight gradient needs the ctx returned by model_forward")
+    d_e0, dot = _integrate(state, d_fe, ctx)
+    if not cfg.use_weights:
+        return d_e0, None
+    w = state.hop_weights
+    others = np.array([np.prod(np.delete(w, k)) for k in range(len(w))])
+    return d_e0, others * (cfg.step_size * cfg.steps * dot)
 
 
 def final_embeddings(state) -> np.ndarray:
-    fe, _ = model_forward(state, record_tape=False)
-    return fe
+    return model_forward(state)[0]
 
 
 def predict_scores(e_final: np.ndarray, n_users: int, user: int, items) -> np.ndarray:

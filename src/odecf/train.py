@@ -1,9 +1,9 @@
 """BPR training with exact reverse-mode gradients through the fixed-grid solvers.
 
-The backward pass is discretize-then-optimize: the pairwise ranking loss is
-differentiated through every solver stage via the transposed propagation (the
-adjacency is symmetric), so gradients agree with central finite differences to
-numerical precision.
+The backward pass is discretize-then-optimize. The solver map is a symmetric
+polynomial p(A) in the adjacency, so the gradient wrt e0 is p(A) applied to
+the cotangent of the final embeddings, and the hop weights need one scalar
+more; gradients agree with central finite differences to numerical precision.
 """
 
 from __future__ import annotations
@@ -178,22 +178,20 @@ def _batch_scores(fe, n_users, batch):
 
 def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
     """Forward-only loss; used by finite-difference checks."""
-    fe, _ = model_forward(state, record_tape=False)
+    fe, _ = model_forward(state)
     n_users = state.adjacency.n_users
     pos, neg = _batch_scores(fe, n_users, batch)
     return bpr_loss(pos, neg, batch_l2(state.e0, n_users, batch), l2_lambda)
 
 
-def backward(batch: TripletBatch, state, tape, l2_lambda: float) -> GradientSet:
+def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float) -> GradientSet:
     """Exact gradient of the regularized batch loss wrt e0 (and hop weights).
 
-    The score head is differentiated by hand; the solver stages are traversed
-    in reverse via the taped forward pass. The L2 term adds
-    2*l2_lambda*row/batch_rows for every appearance of a sampled row.
+    ``fe`` and ``ctx`` are what ``model_forward`` returned. The score head is
+    differentiated by hand; ``model_backward`` carries its cotangent back to
+    e0. The L2 term adds 2*l2_lambda*row/batch_rows for every appearance of a
+    sampled row.
     """
-    if tape is None:
-        raise TrainError("backward requires the forward tape")
-    fe = tape.e_final
     n_users = state.adjacency.n_users
     u = batch.users
     p = n_users + batch.pos_items
@@ -207,7 +205,7 @@ def backward(batch: TripletBatch, state, tape, l2_lambda: float) -> GradientSet:
     np.add.at(d_fe, p, coef[:, None] * fe[u])
     np.add.at(d_fe, q, -coef[:, None] * fe[u])
 
-    d_e0, d_w = model_backward(state, tape, d_fe)
+    d_e0, d_w = model_backward(state, ctx, d_fe)
     if l2_lambda:
         rate = 2.0 * l2_lambda / len(batch)
         for rows in (u, p, q):
@@ -216,11 +214,11 @@ def backward(batch: TripletBatch, state, tape, l2_lambda: float) -> GradientSet:
 
 
 def loss_and_grads(state, batch: TripletBatch, l2_lambda: float):
-    fe, tape = model_forward(state, record_tape=True)
+    fe, ctx = model_forward(state)
     n_users = state.adjacency.n_users
     pos, neg = _batch_scores(fe, n_users, batch)
     loss = bpr_loss(pos, neg, batch_l2(state.e0, n_users, batch), l2_lambda)
-    return loss, backward(batch, state, tape, l2_lambda)
+    return loss, backward(batch, state, fe, ctx, l2_lambda)
 
 
 def adam_step(params, grads, opt: OptimizerState, lr: float) -> None:
@@ -329,8 +327,10 @@ def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) 
     paths = [outdir / "checkpoint.emb", outdir / "checkpoint_meta.txt"]
     save_embeddings(paths[0], state.e0, binary=True)
     weights = getattr(state, "hop_weights", None)
-    if weights is not None:
-        weight_path = outdir / "hop_weights.txt"
+    weight_path = outdir / "hop_weights.txt"
+    if weights is None:
+        weight_path.unlink(missing_ok=True)  # load_checkpoint would pick up a stale one
+    else:
         with open(weight_path, "w", encoding="utf-8") as fh:
             for w in weights:
                 fh.write(f"{float(w)!r}\n")

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odecf
 from odecf.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -178,6 +181,27 @@ class TestPrepareAndEvaluate:
         eval_rows = [l for l in eval_csv.read_text().splitlines()[1:]]
         assert eval_rows == test_rows
 
+    @staticmethod
+    def train_then_evaluate(raw_file, outdir, capsys, **extra):
+        overrides = []
+        for pair in fast_overrides(raw_file, outdir.parent / "elsewhere", **extra):
+            overrides += ["--set", pair]
+        assert main(["train", "--outdir", str(outdir)] + overrides) == EXIT_OK
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(outdir)] + overrides) == EXIT_OK
+        return capsys.readouterr().err
+
+    def test_evaluate_after_train_outdir_has_no_config_note(self, raw_file, tmp_path, capsys):
+        err = self.train_then_evaluate(raw_file, tmp_path / "run", capsys)
+        assert "different config" not in err
+
+    def test_unweighted_rerun_drops_stale_hop_weights(self, raw_file, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        self.train_then_evaluate(raw_file, outdir, capsys, use_weights="true")
+        assert (outdir / "hop_weights.txt").exists()
+        self.train_then_evaluate(raw_file, outdir, capsys, use_weights="false")
+        assert not (outdir / "hop_weights.txt").exists()
+
 
 class TestSweep:
     def run_sweep_cli(self, raw_file, outdir, param, values, **extra):
@@ -256,8 +280,10 @@ def test_output_root_env(tmp_path, monkeypatch, raw_file):
 
 
 def test_module_entrypoint_help():
+    paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
     proc = subprocess.run([sys.executable, "-m", "odecf", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for verb in ("prepare-data", "train", "evaluate", "sweep", "gradcheck"):
         assert verb in proc.stdout

@@ -205,6 +205,21 @@ class TestEvaluate:
         with pytest.raises(EvalError):
             evaluate(np.zeros((3, 2)), ds, "nope", [10])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        ds = synthetic_split(n_users=6, n_items=8, seed=3)
+        fe = np.full((ds.n_users + ds.n_items, 3), bad)
+        with pytest.raises(EvalError, match="non-finite"):
+            evaluate(fe, ds, "test", [1])
+        with pytest.raises(EvalError, match="non-finite"):
+            rank_heldout(fe, ds, 0, ds.test[0], set(ds.train[0]))
+
+    def test_overflowing_products_still_rank(self):
+        ds = simple_ds([[0]], 3, validation=[1], test=[2])
+        fe = embedding_for_scores([[0.0, 1e300, 2e300]], 1)
+        fe[0] = 1e300  # finite rows: items 1 and 2 both score +inf and tie
+        assert rank_all(fe, ds, "test", exclude_validation_at_test=False)[0].rank == 2
+
 
 def test_metrics_report_lookup():
     report = MetricsReport(n_values=[10, 20], recall=[0.1, 0.2], ndcg=[0.05, 0.07],

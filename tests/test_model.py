@@ -14,9 +14,9 @@ from odecf.model import (
     final_embeddings,
     init_embeddings,
     integrate,
-    integrate_with_tape,
     lightgcn_forward,
     load_embeddings,
+    model_backward,
     model_forward,
     predict_scores,
     save_embeddings,
@@ -152,13 +152,21 @@ class TestIntegrate:
         with pytest.raises(SolverError, match="divergent"):
             integrate(state)
 
-    def test_tape_records_final_and_stages(self, small_ds):
-        state = make_state(small_ds, method="rk4", steps=3, n_hops=2, use_weights=True)
-        fe, tape = integrate_with_tape(state)
-        assert np.array_equal(fe, tape.e_final)
-        assert len(tape.stage_hops) == 3
-        assert all(len(stages) == 4 for stages in tape.stage_hops)
-        assert all(len(hops) == 2 for stages in tape.stage_hops for hops in stages)
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_ctx_is_one_matrix_only_when_weights_train(self, small_ds, method):
+        for use_weights in (False, True):
+            state = make_state(small_ds, method=method, steps=3, n_hops=2, use_weights=use_weights)
+            fe, ctx = model_forward(state)
+            assert np.array_equal(fe, integrate(state))
+            if use_weights:
+                assert isinstance(ctx, np.ndarray) and ctx.shape == state.e0.shape
+            else:
+                assert ctx is None
+
+    def test_weighted_backward_needs_ctx(self, small_ds):
+        state = make_state(small_ds, use_weights=True)
+        with pytest.raises(ModelError, match="ctx"):
+            model_backward(state, None, np.ones_like(state.e0))
 
 
 class TestLightGCN:
@@ -190,10 +198,15 @@ class TestLightGCN:
     def test_state_forward_dispatch(self, small_adj):
         e0 = np.random.default_rng(3).normal(size=(small_adj.n_nodes, 3))
         state = LightGCNState.create(e0, small_adj, 2)
-        fe, tape = model_forward(state, record_tape=True)
+        fe, ctx = model_forward(state)
         assert np.array_equal(fe, lightgcn_forward(e0, small_adj, 2))
-        assert np.array_equal(tape.e_final, fe)
+        assert ctx is None
         assert np.array_equal(final_embeddings(state), fe)
+
+    def test_non_finite_input_raises(self, small_adj):
+        e0 = np.full((small_adj.n_nodes, 3), np.nan)
+        with pytest.raises(SolverError, match="non-finite"):
+            lightgcn_forward(e0, small_adj, 2)
 
 
 class TestPredictScores:

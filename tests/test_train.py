@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import odecf.model
+
 from conftest import make_state
 from odecf.data import synthetic_split
 from odecf.evaluation import evaluate
@@ -13,7 +15,6 @@ from odecf.train import (
     TrainError,
     TripletBatch,
     adam_step,
-    backward,
     batch_l2,
     bpr_loss,
     epoch_triplets,
@@ -147,11 +148,43 @@ class TestBackward:
         assert loss == pytest.approx(np.log(2.0), abs=1e-15)
         assert np.array_equal(grads.grad_e0, np.zeros_like(state.e0))
 
-    def test_missing_tape_rejected(self, small_ds):
-        state = make_state(small_ds)
-        batch = sample_triplets(small_ds, 4, np.random.default_rng(0))
-        with pytest.raises(TrainError, match="tape"):
-            backward(batch, state, None, 0.0)
+    @pytest.mark.parametrize("model", ["euler", "rk4", "euler-weighted", "rk4-weighted",
+                                       "lightgcn"])
+    def test_reverse_pass_costs_as_many_spmm_as_forward(self, small_ds, monkeypatch, model):
+        if model == "lightgcn":
+            adj = build_adjacency(small_ds)
+            state = LightGCNState.create(init_embeddings(adj.n_nodes, 4, 0.5, 1), adj, 3)
+        else:
+            method, _, weighted = model.partition("-")
+            state = make_state(small_ds, method=method, steps=2, n_hops=2,
+                               use_weights=bool(weighted))
+        calls = []
+        real = odecf.model.spmm
+        monkeypatch.setattr(odecf.model, "spmm", lambda a, x: calls.append(1) or real(a, x))
+        fe, ctx = odecf.model.model_forward(state)
+        forward_calls = len(calls)
+        odecf.model.model_backward(state, ctx, np.ones_like(fe))
+        assert forward_calls > 0 and len(calls) == 2 * forward_calls
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_finite_differences_with_a_zero_hop_weight(self, method):
+        ds = synthetic_split(n_users=6, n_items=8, seed=2, min_train=3, max_train=4)
+        state = make_state(ds, method=method, steps=2, n_hops=3, use_weights=True,
+                           dims=4, seed=9)
+        state.hop_weights[:] = [1.1, 0.0, 0.9]
+        batch = sample_triplets(ds, 20, np.random.default_rng(4))
+        assert finite_difference_check(state, batch, l2_lambda=1e-3) < 1e-5
+        _, grads = loss_and_grads(state, batch, l2_lambda=1e-3)
+        assert grads.grad_hop_weights[1] != 0.0
+
+    def test_hop_weights_are_one_degree_of_freedom(self, small_ds):
+        state = make_state(small_ds, method="rk4", steps=2, n_hops=3, use_weights=True)
+        state.hop_weights[:] = [1.1, 0.7, 1.3]
+        batch = sample_triplets(small_ds, 16, np.random.default_rng(2))
+        _, grads = loss_and_grads(state, batch, l2_lambda=1e-3)
+        scaled = state.hop_weights * grads.grad_hop_weights
+        assert scaled[0] != 0.0
+        assert np.allclose(scaled, scaled[0], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("use_weights", [False, True])
