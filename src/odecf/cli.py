@@ -36,9 +36,11 @@ from .model import (
 )
 from .train import (
     TrainConfig,
+    TrainError,
     fit,
     finite_difference_check,
     load_checkpoint,
+    read_checkpoint_meta,
     sample_triplets,
     save_checkpoint,
     write_training_log,
@@ -257,6 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         return evaluate(final_embeddings(current), ds, "validation", hook_ns)
 
     history, best = fit(ds, state, cfg.train_config(), validation_hook)
+    if not history and cfg.max_epochs >= 1:
+        raise TrainError("training diverged in epoch 1; no checkpoint written")
     write_training_log(outdir / "train_log.csv", history, log_timing=cfg.log_timing)
 
     fe = final_embeddings(best)
@@ -334,12 +338,7 @@ def _read_run_row(run_dir: Path) -> tuple[str, str] | None:
             mode, n, recall, ndcg, _ = line.rstrip("\n").split(",")
             metrics[(mode, int(n))] = (recall, ndcg)
     recall20, ndcg20 = metrics[("test", 20)]
-    meta = {}
-    with open(run_dir / "checkpoint_meta.txt", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, val = line.rstrip("\n").split("=", 1)
-                meta[key] = val
+    meta = read_checkpoint_meta(run_dir)
     seconds = 0.0
     with open(run_dir / "train_log.csv", "r", encoding="utf-8") as fh:
         fh.readline()

@@ -1,13 +1,15 @@
 """Interaction ingestion, k-core filtering, and chronological leave-one-out splits.
 
 All functions here are pure: they take immutable-ish inputs and return new
-objects, so they are safe to call from any thread.
+objects, so they are safe to call from any thread. The k-core peel and the
+train pairs work on integer arrays; only parsing and the split walk records.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -147,61 +149,31 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
 def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> InteractionLog:
     """Peel users/items with degree < k until a fixpoint.
 
-    With ``users_only`` set, only users are removed (items keep whatever
-    degree remains); otherwise both sides are peeled jointly. The surviving
-    subgraph is the unique maximal one, so the result is deterministic.
+    Each round drops, all at once, every interaction whose user (or, unless
+    ``users_only`` is set, whose item) has fewer than k live interactions.
+    Only nodes outside every k-core are ever dropped, so the fixpoint is the
+    unique maximal k-core. Survivors keep their log order.
     """
     if k < 1:
         raise DataError(f"k-core threshold must be >= 1, got {k}")
 
-    user_items: dict[str, set[str]] = defaultdict(set)
-    item_users: dict[str, set[str]] = defaultdict(set)
-    for r in log.interactions:
-        user_items[r.user_key].add(r.item_key)
-        item_users[r.item_key].add(r.user_key)
+    records = log.interactions
+    _, users = np.unique([r.user_key for r in records], return_inverse=True)
+    _, items = np.unique([r.item_key for r in records], return_inverse=True)
+    alive = np.arange(len(records))
+    while True:
+        u, i = users[alive], items[alive]
+        keep = np.bincount(u)[u] >= k
+        if not users_only:
+            keep &= np.bincount(i)[i] >= k
+        if keep.all():
+            break
+        alive = alive[keep]
 
-    dead_users: set[str] = set()
-    dead_items: set[str] = set()
-    queue: deque[tuple[str, str]] = deque()
-    for u, items in user_items.items():
-        if len(items) < k:
-            queue.append(("u", u))
-            dead_users.add(u)
-    if not users_only:
-        for i, users in item_users.items():
-            if len(users) < k:
-                queue.append(("i", i))
-                dead_items.add(i)
-
-    while queue:
-        kind, node = queue.popleft()
-        if kind == "u":
-            for i in user_items[node]:
-                if i in dead_items:
-                    continue
-                item_users[i].discard(node)
-                if not users_only and len(item_users[i]) < k:
-                    dead_items.add(i)
-                    queue.append(("i", i))
-        else:
-            for u in item_users[node]:
-                if u in dead_users:
-                    continue
-                user_items[u].discard(node)
-                if len(user_items[u]) < k:
-                    dead_users.add(u)
-                    queue.append(("u", u))
-
-    survivors = [
-        r
-        for r in log.interactions
-        if r.user_key not in dead_users and r.item_key not in dead_items
-    ]
-    if not survivors:
+    if not alive.size:
         raise DataError(f"{k}-core filtering removed every interaction")
-    users = {r.user_key for r in survivors}
-    items = {r.item_key for r in survivors}
-    return InteractionLog(survivors, len(users), len(items))
+    survivors = [records[j] for j in alive]
+    return InteractionLog(survivors, np.unique(users[alive]).size, np.unique(items[alive]).size)
 
 
 def leave_one_out_split(log: InteractionLog) -> SplitDataset:
@@ -250,12 +222,8 @@ def leave_one_out_split(log: InteractionLog) -> SplitDataset:
 
 def train_pairs(ds: SplitDataset) -> tuple[np.ndarray, np.ndarray]:
     """All (user, item) train pairs as parallel int64 arrays, user-major order."""
-    counts = [len(items) for items in ds.train]
-    users = np.repeat(np.arange(ds.n_users, dtype=np.int64), counts)
-    if users.size:
-        items = np.concatenate([np.asarray(t, dtype=np.int64) for t in ds.train if t])
-    else:
-        items = np.zeros(0, dtype=np.int64)
+    users = np.repeat(np.arange(ds.n_users, dtype=np.int64), [len(t) for t in ds.train])
+    items = np.fromiter(chain.from_iterable(ds.train), dtype=np.int64, count=users.size)
     return users, items
 
 

@@ -96,9 +96,10 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str,
     item_rows = fe[ds.n_users :]
     results: list[RankResult] = []
     for lo in range(0, ds.n_users, chunk_size):
-        users = range(lo, min(lo + chunk_size, ds.n_users))
+        hi = min(lo + chunk_size, ds.n_users)
+        users = range(lo, hi)
         with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
-            block = fe[lo : lo + chunk_size] @ item_rows.T
+            block = fe[lo:hi] @ item_rows.T
         for row, u in enumerate(users):
             scores = block[row]
             excluded = list(ds.train[u])

@@ -1,7 +1,8 @@
 """Symmetric-normalized bipartite adjacency in CSR form and the sparse-dense product.
 
 Embedding matrices are plain float64 ndarrays of shape (n_nodes, dims): user
-rows occupy [0, n_users), item rows [n_users, n_nodes).
+rows occupy [0, n_users), item rows [n_users, n_nodes). The adjacency is
+assembled by scipy from the normalized user x item block and its transpose.
 """
 
 from __future__ import annotations
@@ -76,24 +77,15 @@ def build_adjacency(ds: SplitDataset, allow_isolated_items: bool = False) -> Spa
         raise GraphError(f"item {bad} has no training interactions; normalization undefined")
 
     weights = 1.0 / np.sqrt(user_deg[users].astype(np.float64) * item_deg[items].astype(np.float64))
-
-    # user block rows [0, n): item columns ascending within each user
-    order_u = np.lexsort((items, users))
-    # item block rows [n, n+m): user columns ascending within each item
-    order_i = np.lexsort((users, items))
-
-    col_indices = np.concatenate([n + items[order_u], users[order_i]])
-    values = np.concatenate([weights[order_u], weights[order_i]])
-    row_offsets = np.zeros(n + m + 1, dtype=np.int64)
-    np.cumsum(user_deg, out=row_offsets[1 : n + 1])
-    row_offsets[n + 1 :] = users.size + np.cumsum(item_deg)
+    block = sp.csr_matrix((weights, (users, items)), shape=(n, m))
+    full = sp.bmat([[None, block], [block.T, None]], format="csr")  # canonical: columns ascending
 
     return SparseAdjacency(
         n_nodes=n + m,
         n_users=n,
-        row_offsets=row_offsets,
-        col_indices=col_indices,
-        values=values,
+        row_offsets=full.indptr,
+        col_indices=full.indices,
+        values=full.data,
     )
 
 

@@ -4,15 +4,20 @@ The backward pass is discretize-then-optimize. The solver map is a symmetric
 polynomial p(A) in the adjacency, so the gradient wrt e0 is p(A) applied to
 the cotangent of the final embeddings, and the hop weights need one scalar
 more; gradients agree with central finite differences to numerical precision.
+The score head's cotangent reaches the node rows through one sparse incidence
+product. Negatives are sampled in bulk by rejection against the train keys
+``user * n_items + item``.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitDataset, train_pairs
@@ -89,6 +94,10 @@ class GradientSet:
     grad_e0: np.ndarray
     grad_hop_weights: np.ndarray | None
 
+    def as_list(self) -> list[np.ndarray]:
+        """The gradients in the order of the trainable parameters."""
+        return [self.grad_e0] + ([] if self.grad_hop_weights is None else [self.grad_hop_weights])
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -99,56 +108,37 @@ class EpochRecord:
     seconds: float
 
 
-def train_item_sets(ds: SplitDataset) -> list[set[int]]:
-    return [set(items) for items in ds.train]
+def _triplets(ds: SplitDataset, rng, pick) -> TripletBatch:
+    """Train pairs at the positions ``pick(n_pairs)``, each with a uniform
+    negative: all negatives are drawn at once, then the rows that hit a train
+    positive of their user are redrawn until none does."""
+    users_all, items_all = train_pairs(ds)
+    if users_all.size == 0:
+        raise TrainError("dataset has no train interactions")
+    keys = np.unique(users_all * ds.n_items + items_all)
+    full = np.bincount(keys // ds.n_items, minlength=ds.n_users) >= ds.n_items
+    if full.any():
+        raise TrainError(f"user {int(np.argmax(full))} interacted with every item; "
+                         "no negative exists")
+    idx = pick(users_all.size)
+    users = users_all[idx]
+    neg = rng.integers(ds.n_items, size=users.size)
+    redo = np.flatnonzero(np.isin(users * ds.n_items + neg, keys))
+    while redo.size:
+        neg[redo] = rng.integers(ds.n_items, size=redo.size)
+        redo = redo[np.isin(users[redo] * ds.n_items + neg[redo], keys)]
+    return TripletBatch(users, items_all[idx], neg)
 
 
-def _check_negatives_exist(ds: SplitDataset, train_sets) -> None:
-    for u, positives in enumerate(train_sets):
-        if len(positives) >= ds.n_items:
-            raise TrainError(f"user {u} interacted with every item; no negative exists")
-
-
-def _draw_negatives(rng, n_items, users, train_sets) -> np.ndarray:
-    neg = np.empty(len(users), dtype=np.int64)
-    for row, u in enumerate(users):
-        positives = train_sets[u]
-        j = int(rng.integers(n_items))
-        while j in positives:
-            j = int(rng.integers(n_items))
-        neg[row] = j
-    return neg
-
-
-def sample_triplets(ds: SplitDataset, count: int, rng, train_sets=None) -> TripletBatch:
+def sample_triplets(ds: SplitDataset, count: int, rng) -> TripletBatch:
     """Uniform (user, positive) draws from the train pairs, each with a
     rejection-sampled negative that is not a train positive of that user."""
-    users_all, items_all = train_pairs(ds)
-    if users_all.size == 0:
-        raise TrainError("dataset has no train interactions")
-    if train_sets is None:
-        train_sets = train_item_sets(ds)
-    _check_negatives_exist(ds, train_sets)
-    idx = rng.integers(users_all.size, size=count)
-    users = users_all[idx]
-    pos = items_all[idx]
-    neg = _draw_negatives(rng, ds.n_items, users, train_sets)
-    return TripletBatch(users, pos, neg)
+    return _triplets(ds, rng, lambda n: rng.integers(n, size=count))
 
 
-def epoch_triplets(ds: SplitDataset, rng, train_sets=None) -> TripletBatch:
+def epoch_triplets(ds: SplitDataset, rng) -> TripletBatch:
     """One shuffled triplet per train interaction, covering each exactly once."""
-    users_all, items_all = train_pairs(ds)
-    if users_all.size == 0:
-        raise TrainError("dataset has no train interactions")
-    if train_sets is None:
-        train_sets = train_item_sets(ds)
-    _check_negatives_exist(ds, train_sets)
-    perm = rng.permutation(users_all.size)
-    users = users_all[perm]
-    pos = items_all[perm]
-    neg = _draw_negatives(rng, ds.n_items, users, train_sets)
-    return TripletBatch(users, pos, neg)
+    return _triplets(ds, rng, rng.permutation)
 
 
 def bpr_loss(pos_scores, neg_scores, params_l2: float, l2_lambda: float) -> float:
@@ -193,23 +183,21 @@ def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float) -> GradientS
     sampled row.
     """
     n_users = state.adjacency.n_users
-    u = batch.users
-    p = n_users + batch.pos_items
-    q = n_users + batch.neg_items
+    size = len(batch)
+    rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
+    # pick[rows[j], j] = 1, so pick @ X adds row j of X into node rows[j], in
+    # ascending j within each node
+    pick = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                         shape=(fe.shape[0], rows.size))
 
-    pos, neg = _batch_scores(fe, n_users, batch)
-    coef = -expit(-(pos - neg)) / len(batch)  # d mean-softplus(neg-pos) / d margin
-
-    d_fe = np.zeros_like(fe)
-    np.add.at(d_fe, u, coef[:, None] * (fe[p] - fe[q]))
-    np.add.at(d_fe, p, coef[:, None] * fe[u])
-    np.add.at(d_fe, q, -coef[:, None] * fe[u])
+    fu, fp, fq = np.split(fe[rows], 3)
+    margin = np.einsum("ij,ij->i", fu, fp) - np.einsum("ij,ij->i", fu, fq)
+    coef = -expit(-margin) / size  # d mean-softplus(-margin) / d margin
+    d_fe = pick @ (np.tile(coef, 3)[:, None] * np.concatenate([fp - fq, fu, -fu]))
 
     d_e0, d_w = model_backward(state, ctx, d_fe)
     if l2_lambda:
-        rate = 2.0 * l2_lambda / len(batch)
-        for rows in (u, p, q):
-            np.add.at(d_e0, rows, rate * state.e0[rows])
+        d_e0 += pick @ ((2.0 * l2_lambda / size) * state.e0[rows])
     return GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)
 
 
@@ -255,7 +243,6 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     rng = np.random.default_rng(cfg.seed)
     params = _trainables(state)
     opt = OptimizerState.for_params(params)
-    train_sets = train_item_sets(ds)
 
     history: list[EpochRecord] = []
     best_state = state.copy()
@@ -263,7 +250,7 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     since_best = 0
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
-        triplets = epoch_triplets(ds, rng, train_sets)
+        triplets = epoch_triplets(ds, rng)
         total = 0.0
         seen = 0
         diverged = False
@@ -278,10 +265,7 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
             if not np.isfinite(loss):
                 diverged = True
                 break
-            grad_list = [grads.grad_e0]
-            if grads.grad_hop_weights is not None:
-                grad_list.append(grads.grad_hop_weights)
-            adam_step(params, grad_list, opt, cfg.learning_rate)
+            adam_step(params, grads.as_list(), opt, cfg.learning_rate)
             total += loss * len(batch)
             seen += len(batch)
         if diverged:
@@ -320,26 +304,48 @@ def write_training_log(path, history, log_timing: bool = True) -> None:
                      f"{float(r.ndcg20)!r},{seconds}\n")
 
 
+def _write_replacing(path: Path, write) -> None:
+    """Run ``write(tmp)`` on a sibling temp file, then move it over ``path``, so
+    a failed write leaves the previous file in place."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) -> list[Path]:
-    """Persist the trainable state plus a small metadata file; returns paths."""
+    """Persist the trainable state plus a small metadata file; returns paths.
+
+    Each file is written to a temp file and then moved into place.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / "checkpoint.emb", outdir / "checkpoint_meta.txt"]
-    save_embeddings(paths[0], state.e0, binary=True)
+    _write_replacing(paths[0], lambda tmp: save_embeddings(tmp, state.e0, binary=True))
     weights = getattr(state, "hop_weights", None)
     weight_path = outdir / "hop_weights.txt"
     if weights is None:
         weight_path.unlink(missing_ok=True)  # load_checkpoint would pick up a stale one
     else:
-        with open(weight_path, "w", encoding="utf-8") as fh:
-            for w in weights:
-                fh.write(f"{float(w)!r}\n")
+        text = "".join(f"{float(w)!r}\n" for w in weights)
+        _write_replacing(weight_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
         paths.append(weight_path)
-    with open(paths[1], "w", encoding="utf-8") as fh:
-        fh.write(f"epoch={epoch}\n")
-        fh.write(f"metric={metric!r}\n")
-        fh.write(f"config_hash={config_hash}\n")
+    text = f"epoch={epoch}\nmetric={metric!r}\nconfig_hash={config_hash}\n"
+    _write_replacing(paths[1], lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return paths
+
+
+def read_checkpoint_meta(indir) -> dict[str, str]:
+    """The key=value pairs of ``checkpoint_meta.txt`` in ``indir``."""
+    meta = {}
+    with open(Path(indir) / "checkpoint_meta.txt", "r", encoding="utf-8") as fh:
+        for line in fh:
+            if "=" in line:
+                key, value = line.rstrip("\n").split("=", 1)
+                meta[key] = value
+    return meta
 
 
 def load_checkpoint(indir):
@@ -351,13 +357,7 @@ def load_checkpoint(indir):
     if weight_path.exists():
         with open(weight_path, "r", encoding="utf-8") as fh:
             weights = np.array([float(line) for line in fh if line.strip()])
-    meta = {}
-    with open(indir / "checkpoint_meta.txt", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = line.rstrip("\n").split("=", 1)
-                meta[key] = value
-    return e0, weights, meta
+    return e0, weights, read_checkpoint_meta(indir)
 
 
 def finite_difference_check(state, batch: TripletBatch, l2_lambda: float,
@@ -370,27 +370,14 @@ def finite_difference_check(state, batch: TripletBatch, l2_lambda: float,
     """
     _, grads = loss_and_grads(state, batch, l2_lambda)
     worst = 0.0
-
-    e0 = state.e0
-    for idx in np.ndindex(e0.shape):
-        orig = e0[idx]
-        e0[idx] = orig + fd_step
-        up = batch_loss(state, batch, l2_lambda)
-        e0[idx] = orig - fd_step
-        down = batch_loss(state, batch, l2_lambda)
-        e0[idx] = orig
-        fd = (up - down) / (2.0 * fd_step)
-        worst = max(worst, abs(grads.grad_e0[idx] - fd) / max(1.0, abs(fd)))
-
-    weights = getattr(state, "hop_weights", None)
-    if weights is not None:
-        for k in range(len(weights)):
-            orig = weights[k]
-            weights[k] = orig + fd_step
+    for param, grad in zip(_trainables(state), grads.as_list()):
+        for idx in np.ndindex(param.shape):
+            orig = param[idx]
+            param[idx] = orig + fd_step
             up = batch_loss(state, batch, l2_lambda)
-            weights[k] = orig - fd_step
+            param[idx] = orig - fd_step
             down = batch_loss(state, batch, l2_lambda)
-            weights[k] = orig
+            param[idx] = orig
             fd = (up - down) / (2.0 * fd_step)
-            worst = max(worst, abs(grads.grad_hop_weights[k] - fd) / max(1.0, abs(fd)))
+            worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
     return worst

@@ -139,6 +139,17 @@ class TestRunExperiment:
         assert reports["gode_cf"][0] == reports["lightgcn"][0]
         assert len(reports["gode_cf"]) == len(reports["lightgcn"])
 
+    def test_divergence_in_first_epoch_fails_without_checkpoint(self, raw_file, tmp_path,
+                                                                capsys):
+        outdir = tmp_path / "run"
+        argv = ["train"]
+        for pair in fast_overrides(raw_file, outdir, learning_rate="1e200"):
+            argv += ["--set", pair]
+        assert main(argv) == EXIT_RUNTIME
+        assert "diverged in epoch 1" in capsys.readouterr().err
+        assert not (outdir / "checkpoint.emb").exists()
+        assert not (outdir / "metrics.csv").exists()
+
     def test_missing_dataset_exit_code_and_message(self, capsys):
         rc = main(["train", "--set", "dataset=/absent/file.txt"])
         assert rc == EXIT_CONFIG

@@ -123,6 +123,43 @@ class TestKCoreFilter:
         with pytest.raises(DataError):
             k_core_filter(log, 0)
 
+    @pytest.mark.parametrize("users_only", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force_maximal_core(self, seed, users_only):
+        # the maximal k-core is the union of every node subset whose induced
+        # subgraph gives each kept user (and, jointly, each kept item) degree >= k
+        rng = np.random.default_rng(seed)
+        n_users, n_items, k = 6, 5, 2 + seed % 2
+        linked = rng.random((n_users, n_items)) < 0.55
+        pairs = [(f"u{u}", f"i{i}", int(rng.integers(100)))
+                 for u, i in zip(*np.nonzero(linked))]
+        order = rng.permutation(len(pairs))
+        log = make_log([pairs[j] for j in order])
+
+        core = np.zeros_like(linked)
+        all_items = np.ones(n_items, dtype=bool)
+        for user_bits in range(1 << n_users):
+            in_u = (user_bits >> np.arange(n_users)) & 1 == 1
+            for item_bits in [None] if users_only else range(1 << n_items):
+                in_i = all_items if users_only else (item_bits >> np.arange(n_items)) & 1 == 1
+                sub = linked & in_u[:, None] & in_i[None, :]
+                if (sub.sum(1)[in_u] < k).any():
+                    continue
+                if not users_only and (sub.sum(0)[in_i] < k).any():
+                    continue
+                core |= sub
+        want = [r for r in log.interactions
+                if core[int(r.user_key[1:]), int(r.item_key[1:])]]
+
+        if not want:
+            with pytest.raises(DataError, match="removed every interaction"):
+                k_core_filter(log, k, users_only=users_only)
+            return
+        out = k_core_filter(log, k, users_only=users_only)
+        assert out.interactions == want
+        assert out.user_count == len({r.user_key for r in want})
+        assert out.item_count == len({r.item_key for r in want})
+
 
 class TestLeaveOneOutSplit:
     def test_three_interactions(self):

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import odecf.model
+import odecf.train
 
 from conftest import make_state
 from odecf.data import synthetic_split
@@ -24,7 +27,6 @@ from odecf.train import (
     loss_and_grads,
     sample_triplets,
     save_checkpoint,
-    train_item_sets,
     write_training_log,
 )
 
@@ -54,7 +56,7 @@ class TestSampling:
 
     def test_negatives_never_positives(self, small_ds):
         batch = sample_triplets(small_ds, 500, np.random.default_rng(1))
-        sets = train_item_sets(small_ds)
+        sets = [set(items) for items in small_ds.train]
         for u, j in zip(batch.users, batch.neg_items):
             assert int(j) not in sets[int(u)]
 
@@ -75,6 +77,16 @@ class TestSampling:
         ds = simple_ds([[0, 1]], 2, validation=[0], test=[1])
         with pytest.raises(TrainError, match="every item"):
             sample_triplets(ds, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_epoch_negatives_never_positives(self, seed):
+        # user 0 trains on every item but item 9, so each of its negatives is 9
+        ds = simple_ds([list(range(9)), [0, 1, 2], [3, 5, 7, 9]], 10)
+        batch = epoch_triplets(ds, np.random.default_rng(seed))
+        sets = [set(items) for items in ds.train]
+        for u, j in zip(batch.users, batch.neg_items):
+            assert int(j) not in sets[int(u)]
+        assert np.all(batch.neg_items[batch.users == 0] == 9)
 
     def test_epoch_covers_each_pair_once(self, small_ds):
         batch = epoch_triplets(small_ds, np.random.default_rng(7))
@@ -138,6 +150,15 @@ class TestBackward:
         batch = sample_triplets(small_ds, 16, np.random.default_rng(5))
         _, grads = loss_and_grads(state, batch, l2_lambda=1e-3)
         oracle = mf_bpr_gradient(state.e0, small_ds.n_users, batch, 1e-3)
+        assert np.abs(grads.grad_e0 - oracle).max() < 1e-12
+
+    def test_repeated_rows_match_mf_oracle(self, small_ds):
+        # every user and item appears several times, an item both as a
+        # positive and as a negative, so the scatter must accumulate
+        state = make_state(small_ds, t1=1e-30, steps=1, n_hops=1, seed=4)
+        batch = make_batch([0, 1, 0, 1, 0, 1], [2, 3, 2, 5, 3, 2], [3, 2, 5, 2, 5, 3])
+        _, grads = loss_and_grads(state, batch, l2_lambda=1e-2)
+        oracle = mf_bpr_gradient(state.e0, small_ds.n_users, batch, 1e-2)
         assert np.abs(grads.grad_e0 - oracle).max() < 1e-12
 
     def test_zero_embeddings_stationary(self, small_ds):
@@ -339,6 +360,24 @@ class TestArtifacts:
         assert np.array_equal(e0, state.e0)
         assert np.array_equal(weights, [1.25, 0.75])
         assert meta["epoch"] == "17" and meta["config_hash"] == "abc123"
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, small_ds, monkeypatch):
+        state = make_state(small_ds)
+        save_checkpoint(tmp_path, state, epoch=1, metric=0.5, config_hash="abc123")
+        before = (tmp_path / "checkpoint.emb").read_bytes()
+
+        def fail_partway(path, emb, binary=False):
+            Path(path).write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(odecf.train, "save_embeddings", fail_partway)
+        state.e0 += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path, state, epoch=2, metric=0.6, config_hash="abc123")
+        assert (tmp_path / "checkpoint.emb").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.emb", "checkpoint_meta.txt"]
+        assert load_checkpoint(tmp_path)[2]["epoch"] == "1"
 
     def test_config_validation(self):
         with pytest.raises(TrainError):
