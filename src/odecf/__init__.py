@@ -14,7 +14,6 @@ from .data import (
     DataError,
     InteractionLog,
     ParseStats,
-    RawInteraction,
     SplitDataset,
     k_core_filter,
     leave_one_out_split,

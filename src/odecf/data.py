@@ -1,15 +1,16 @@
 """Interaction ingestion, k-core filtering, and chronological leave-one-out splits.
 
 All functions here are pure: they take immutable-ish inputs and return new
-objects, so they are safe to call from any thread. The k-core peel and the
-train pairs work on integer arrays; only parsing and the split walk records.
+objects, so they are safe to call from any thread. Data travels as integer
+columns: parsing codes each key once in a dict, and the dedupe, the k-core
+peel, the split and the train pairs are array operations on those codes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +20,20 @@ class DataError(ValueError):
     """Raised for unusable interaction data or ill-posed filtering requests."""
 
 
-@dataclass(frozen=True)
-class RawInteraction:
-    user_key: str
-    item_key: str
-    timestamp: int
+_RECORD = np.dtype([("user", np.int64), ("item", np.int64), ("user_key", object),
+                    ("item_key", object), ("timestamp", np.int64)])
 
 
 @dataclass(eq=False)
 class InteractionLog:
-    """Deduplicated (user, item) positives, each carrying its earliest timestamp."""
+    """Deduplicated (user, item) positives, each carrying its earliest timestamp.
 
-    interactions: list[RawInteraction]
+    ``interactions`` is a record array with the columns ``user``, ``item``
+    (integer codes, one per key), ``user_key``, ``item_key`` (str) and
+    ``timestamp``; read codes as ``rec["item"]``, ``rec.item`` is a method.
+    """
+
+    interactions: np.recarray
     user_count: int
     item_count: int
 
@@ -49,21 +52,35 @@ class ParseStats:
 class SplitDataset:
     """Train/validation/test partitions over dense contiguous ids.
 
-    ``train[u]`` lists item ids in chronological order; ``validation[u]`` and
+    User ``u``'s train items, in chronological order, are
+    ``train_items[train_indptr[u]:train_indptr[u + 1]]``; ``validation[u]`` and
     ``test[u]`` hold the second-last and last interacted items of user ``u``.
     ``user_index`` / ``item_index`` map the original opaque keys to ids.
     """
 
     n_users: int
     n_items: int
-    train: list[list[int]]
-    validation: list[int]
-    test: list[int]
+    train_indptr: np.ndarray
+    train_items: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
     user_index: dict[str, int]
     item_index: dict[str, int]
 
+    @cached_property
+    def train(self) -> list[list[int]]:
+        """Per-user train lists built from the CSR arrays, for inspection only."""
+        items, bounds = self.train_items.tolist(), self.train_indptr.tolist()
+        return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    @cached_property
+    def train_keys(self) -> np.ndarray:
+        """Sorted distinct ``user * n_items + item`` keys of the train pairs."""
+        users, items = train_pairs(self)
+        return np.unique(users * self.n_items + items)
+
     def n_train_interactions(self) -> int:
-        return sum(len(items) for items in self.train)
+        return int(self.train_indptr[-1])
 
 
 def _column_positions(columns) -> tuple[int, int, int]:
@@ -89,30 +106,30 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
     ``source`` is a path or an iterable of text lines. ``columns`` names the
     field order; it must mention ``user``, ``item`` and ``time`` once each,
     any other entry (e.g. ``rating``) marks a field to skip. Duplicate
-    (user, item) pairs collapse to the earliest timestamp; lines that do not
-    yield a non-negative integer timestamp and both keys count as malformed.
+    (user, item) pairs collapse to the earliest timestamp, in the order the
+    pairs were first seen; lines that do not yield a non-negative integer
+    timestamp and both keys count as malformed.
     """
     u_at, i_at, t_at = _column_positions(columns)
     width = max(u_at, i_at, t_at) + 1
 
-    close_after = False
     if hasattr(source, "read") or (not isinstance(source, (str, Path)) and hasattr(source, "__iter__")):
-        lines = source
+        opened = nullcontext(source)  # the caller's to close
     else:
         try:
-            lines = open(source, "r", encoding="utf-8")
+            opened = open(source, "r", encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot read interaction source {source!r}: {exc}") from exc
-        close_after = True
 
-    earliest: dict[tuple[str, str], int] = {}
-    parsed = duplicates = malformed = 0
-    try:
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    users, items, stamps = [], [], []
+    malformed = 0
+    with opened as lines:
         for raw in lines:
-            stripped = raw.strip()
-            if not stripped:
+            fields = raw.split()
+            if not fields:
                 continue
-            fields = stripped.split()
             if len(fields) < width:
                 malformed += 1
                 continue
@@ -124,26 +141,36 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
             if stamp < 0:
                 malformed += 1
                 continue
-            parsed += 1
-            pair = (fields[u_at], fields[i_at])
-            if pair in earliest:
-                duplicates += 1
-                if stamp < earliest[pair]:
-                    earliest[pair] = stamp
-            else:
-                earliest[pair] = stamp
-    finally:
-        if close_after:
-            lines.close()
+            users.append(user_codes.setdefault(fields[u_at], len(user_codes)))
+            items.append(item_codes.setdefault(fields[i_at], len(item_codes)))
+            stamps.append(stamp)
 
+    parsed = len(stamps)
     if parsed == 0:
         raise DataError("zero valid lines in interaction source")
+    try:
+        t = np.fromiter(stamps, dtype=np.int64, count=parsed)
+    except OverflowError:
+        raise DataError("a timestamp does not fit in 64 bits") from None
+    u, i = (np.fromiter(codes, dtype=np.int64, count=parsed) for codes in (users, items))
 
-    interactions = [RawInteraction(u, i, t) for (u, i), t in earliest.items()]
-    users = {r.user_key for r in interactions}
-    items = {r.item_key for r in interactions}
-    log = InteractionLog(interactions, len(users), len(items))
-    return log, ParseStats(parsed=parsed, duplicates=duplicates, malformed=malformed)
+    # A stable sort by pair keeps each pair's lines in file order, so each run
+    # of equal pairs starts at the line where the pair was first seen.
+    key = u * len(item_codes) + i
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    first = order[starts]
+    by_line = np.argsort(first)
+    line, earliest = first[by_line], np.minimum.reduceat(t[order], starts)[by_line]
+
+    u, i = u[line], i[line]
+    rows = np.zeros(line.size, dtype=_RECORD).view(np.recarray)  # np.empty is slow for object fields
+    for name, column in (("user", u), ("item", i), ("timestamp", earliest),
+                         ("user_key", np.array(list(user_codes), dtype=object)[u]),
+                         ("item_key", np.array(list(item_codes), dtype=object)[i])):
+        rows[name] = column
+    log = InteractionLog(rows, len(user_codes), len(item_codes))
+    return log, ParseStats(parsed=parsed, duplicates=parsed - line.size, malformed=malformed)
 
 
 def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> InteractionLog:
@@ -158,8 +185,7 @@ def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> Inte
         raise DataError(f"k-core threshold must be >= 1, got {k}")
 
     records = log.interactions
-    _, users = np.unique([r.user_key for r in records], return_inverse=True)
-    _, items = np.unique([r.item_key for r in records], return_inverse=True)
+    users, items = records["user"], records["item"]
     alive = np.arange(len(records))
     while True:
         u, i = users[alive], items[alive]
@@ -172,8 +198,17 @@ def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> Inte
 
     if not alive.size:
         raise DataError(f"{k}-core filtering removed every interaction")
-    survivors = [records[j] for j in alive]
-    return InteractionLog(survivors, np.unique(users[alive]).size, np.unique(items[alive]).size)
+    return InteractionLog(records[alive], np.count_nonzero(np.bincount(users[alive])),
+                          np.count_nonzero(np.bincount(items[alive])))
+
+
+def _dense_ids(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Ids in sorted-key order for each row's code, and the sorted keys."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(keys[first])
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], keys[first[order]].tolist()
 
 
 def leave_one_out_split(log: InteractionLog) -> SplitDataset:
@@ -182,67 +217,56 @@ def leave_one_out_split(log: InteractionLog) -> SplitDataset:
     Timestamp ties break by item key (lexicographic), so splits are stable
     across runs. Users and items are re-indexed densely in sorted-key order.
     """
-    per_user: dict[str, list[RawInteraction]] = defaultdict(list)
-    for r in log.interactions:
-        per_user[r.user_key].append(r)
-
-    user_keys = sorted(per_user)
-    for key in user_keys:
-        n = len(per_user[key])
-        if n < 3:
-            raise DataError(
-                f"user {key!r} has {n} interaction(s); leave-one-out needs at least 3"
-            )
-
-    item_keys = sorted({r.item_key for r in log.interactions})
-    user_index = {key: idx for idx, key in enumerate(user_keys)}
-    item_index = {key: idx for idx, key in enumerate(item_keys)}
-
+    records = log.interactions
+    user_id, user_keys = _dense_ids(records["user"], records["user_key"])
+    item_id, item_keys = _dense_ids(records["item"], records["item_key"])
     n_users = len(user_keys)
-    train: list[list[int]] = [[] for _ in range(n_users)]
-    validation = [0] * n_users
-    test = [0] * n_users
-    for key in user_keys:
-        rows = sorted(per_user[key], key=lambda r: (r.timestamp, r.item_key))
-        u = user_index[key]
-        train[u] = [item_index[r.item_key] for r in rows[:-2]]
-        validation[u] = item_index[rows[-2].item_key]
-        test[u] = item_index[rows[-1].item_key]
+    counts = np.bincount(user_id, minlength=n_users)
+    if (counts < 3).any():
+        u = int(np.argmax(counts < 3))
+        raise DataError(f"user {user_keys[u]!r} has {counts[u]} interaction(s); "
+                        "leave-one-out needs at least 3")
 
+    # dense item ids follow key order, so they break time ties like the keys do
+    order = np.lexsort((item_id, records["timestamp"], user_id))
+    items = item_id[order]
+    last = np.cumsum(counts) - 1
+    in_train = np.ones(items.size, dtype=bool)
+    in_train[np.r_[last - 1, last]] = False
     return SplitDataset(
         n_users=n_users,
         n_items=len(item_keys),
-        train=train,
-        validation=validation,
-        test=test,
-        user_index=user_index,
-        item_index=item_index,
+        train_indptr=np.r_[0, np.cumsum(counts - 2)],
+        train_items=items[in_train],
+        validation=items[last - 1],
+        test=items[last],
+        user_index=dict(zip(user_keys, range(n_users))),
+        item_index=dict(zip(item_keys, range(len(item_keys)))),
     )
 
 
 def train_pairs(ds: SplitDataset) -> tuple[np.ndarray, np.ndarray]:
     """All (user, item) train pairs as parallel int64 arrays, user-major order."""
-    users = np.repeat(np.arange(ds.n_users, dtype=np.int64), [len(t) for t in ds.train])
-    items = np.fromiter(chain.from_iterable(ds.train), dtype=np.int64, count=users.size)
-    return users, items
+    users = np.repeat(np.arange(ds.n_users, dtype=np.int64), np.diff(ds.train_indptr))
+    return users, ds.train_items
+
+
+def _group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, items)`` of the pairs, keeping their order within each user."""
+    indptr = np.r_[0, np.cumsum(np.bincount(users, minlength=n_users))]
+    return indptr, items[np.argsort(users, kind="stable")]
 
 
 def write_split(ds: SplitDataset, outdir) -> None:
     """Write train/val/test text files plus the key->id maps."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "train.txt", "w", encoding="utf-8") as fh:
-        for u in range(ds.n_users):
-            for i in ds.train[u]:
-                fh.write(f"{u} {i}\n")
+    np.savetxt(outdir / "train.txt", np.column_stack(train_pairs(ds)), fmt="%d")
     for name, column in (("val.txt", ds.validation), ("test.txt", ds.test)):
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            for u in range(ds.n_users):
-                fh.write(f"{u} {column[u]}\n")
+        np.savetxt(outdir / name, np.column_stack((np.arange(ds.n_users), column)), fmt="%d")
     for name, index in (("user_map.txt", ds.user_index), ("item_map.txt", ds.item_index)):
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            for key, idx in sorted(index.items(), key=lambda kv: kv[1]):
-                fh.write(f"{key}\t{idx}\n")
+        text = "".join(f"{key}\t{idx}\n" for key, idx in sorted(index.items(), key=lambda kv: kv[1]))
+        (outdir / name).write_text(text, encoding="utf-8")
 
 
 def read_split(indir) -> SplitDataset:
@@ -250,46 +274,31 @@ def read_split(indir) -> SplitDataset:
     indir = Path(indir)
 
     def read_map(name):
-        index = {}
         with open(indir / name, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                key, idx = line.rstrip("\n").split("\t")
-                index[key] = int(idx)
-        return index
+            pairs = (line.rstrip("\n").split("\t") for line in fh if line.strip())
+            return {key: int(idx) for key, idx in pairs}
+
+    def read_pairs(name):  # the (user, item) columns
+        return np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
 
     try:
-        user_index = read_map("user_map.txt")
-        item_index = read_map("item_map.txt")
+        user_index, item_index = read_map("user_map.txt"), read_map("item_map.txt")
         n_users = len(user_index)
-        n_items = len(item_index)
-        train: list[list[int]] = [[] for _ in range(n_users)]
-        with open(indir / "train.txt", "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                u, i = (int(x) for x in line.split())
-                train[u].append(i)
-        columns = {}
-        for name in ("val.txt", "test.txt"):
-            column = [0] * n_users
-            with open(indir / name, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    u, i = (int(x) for x in line.split())
-                    column[u] = i
-            columns[name] = column
+        indptr, items = _group_by_user(*read_pairs("train.txt"), n_users)
+        validation, test = np.zeros((2, n_users), dtype=np.int64)
+        for column, name in ((validation, "val.txt"), (test, "test.txt")):
+            users, targets = read_pairs(name)
+            column[users] = targets
     except OSError as exc:
         raise DataError(f"cannot read split directory {indir}: {exc}") from exc
 
     return SplitDataset(
         n_users=n_users,
-        n_items=n_items,
-        train=train,
-        validation=columns["val.txt"],
-        test=columns["test.txt"],
+        n_items=len(item_index),
+        train_indptr=indptr,
+        train_items=items,
+        validation=validation,
+        test=test,
         user_index=user_index,
         item_index=item_index,
     )
@@ -308,32 +317,31 @@ def synthetic_split(n_users: int, n_items: int, seed: int, min_train: int = 3,
     if not (1 <= min_train <= max_train <= n_items - 2):
         raise DataError("infeasible synthetic split sizes")
     rng = np.random.default_rng(seed)
-    train: list[list[int]] = []
-    validation: list[int] = []
-    test: list[int] = []
-    for _ in range(n_users):
+    users, items = [], []
+    validation, test = np.empty((2, n_users), dtype=np.int64)
+    for u in range(n_users):
         size = int(rng.integers(min_train, max_train + 1))
         chosen = rng.choice(n_items, size=size + 2, replace=False)
-        train.append([int(x) for x in chosen[:size]])
-        validation.append(int(chosen[size]))
-        test.append(int(chosen[size + 1]))
+        users.append(np.full(size, u))
+        items.append(chosen[:size])
+        validation[u], test[u] = chosen[size], chosen[size + 1]
 
-    covered = set()
-    for items in train:
-        covered.update(items)
-    for missing in sorted(set(range(n_items)) - covered):
-        for u in rng.permutation(n_users):
-            u = int(u)
-            if missing not in train[u] and missing != validation[u] and missing != test[u]:
-                train[u].append(missing)
-                break
-        else:
+    # An uncovered item is in no train list, so any user whose held-out items
+    # differ from it can take it as a train edge.
+    for missing in np.setdiff1d(np.arange(n_items), np.concatenate(items)):
+        perm = rng.permutation(n_users)
+        free = perm[(validation[perm] != missing) & (test[perm] != missing)]
+        if not free.size:
             raise DataError(f"cannot give item {missing} a train edge")
+        users.append(free[:1])
+        items.append(np.array([missing]))
 
+    indptr, train_items = _group_by_user(np.concatenate(users), np.concatenate(items), n_users)
     return SplitDataset(
         n_users=n_users,
         n_items=n_items,
-        train=train,
+        train_indptr=indptr,
+        train_items=train_items,
         validation=validation,
         test=test,
         user_index={f"u{u}": u for u in range(n_users)},

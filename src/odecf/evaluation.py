@@ -93,21 +93,20 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str,
         raise EvalError(f"mode must be 'validation' or 'test', got {mode!r}")
     fe = _check_embeddings(fe, ds)
     targets = ds.validation if mode == "validation" else ds.test
+    indptr = ds.train_indptr
     item_rows = fe[ds.n_users :]
     results: list[RankResult] = []
     for lo in range(0, ds.n_users, chunk_size):
         hi = min(lo + chunk_size, ds.n_users)
-        users = range(lo, hi)
+        rows = np.arange(hi - lo)
         with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
             block = fe[lo:hi] @ item_rows.T
-        for row, u in enumerate(users):
-            scores = block[row]
-            excluded = list(ds.train[u])
-            if mode == "test" and exclude_validation_at_test:
-                excluded.append(ds.validation[u])
-            if excluded:
-                scores[np.asarray(excluded, dtype=np.int64)] = -np.inf
-            results.append(RankResult(user=u, rank=_rank_from_scores(scores, targets[u])))
+        block[np.repeat(rows, np.diff(indptr[lo : hi + 1])),
+              ds.train_items[indptr[lo] : indptr[hi]]] = -np.inf
+        if mode == "test" and exclude_validation_at_test:
+            block[rows, ds.validation[lo:hi]] = -np.inf
+        for row, u in enumerate(range(lo, hi)):
+            results.append(RankResult(user=u, rank=_rank_from_scores(block[row], targets[u])))
     return results
 
 

@@ -67,7 +67,7 @@ def build_adjacency(ds: SplitDataset, allow_isolated_items: bool = False) -> Spa
     if users.size == 0:
         raise GraphError("train partition is empty")
 
-    user_deg = np.array([len(t) for t in ds.train], dtype=np.int64)
+    user_deg = np.diff(ds.train_indptr)
     item_deg = np.bincount(items, minlength=m).astype(np.int64)
     if (user_deg == 0).any():
         bad = int(np.argmax(user_deg == 0))
@@ -102,11 +102,3 @@ def spmm(adj: SparseAdjacency, emb: np.ndarray) -> np.ndarray:
         )
     return adj.to_scipy() @ emb
 
-
-def dump_coordinates(adj: SparseAdjacency, path) -> None:
-    """Debug dump in 'row col value' coordinate text format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in range(adj.n_nodes):
-            lo, hi = adj.row_offsets[row], adj.row_offsets[row + 1]
-            for k in range(lo, hi):
-                fh.write(f"{row} {int(adj.col_indices[k])} {float(adj.values[k])!r}\n")

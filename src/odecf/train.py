@@ -5,8 +5,8 @@ polynomial p(A) in the adjacency, so the gradient wrt e0 is p(A) applied to
 the cotangent of the final embeddings, and the hop weights need one scalar
 more; gradients agree with central finite differences to numerical precision.
 The score head's cotangent reaches the node rows through one sparse incidence
-product. Negatives are sampled in bulk by rejection against the train keys
-``user * n_items + item``.
+product. Negatives are sampled in bulk by rejection against the dataset's
+sorted train keys ``user * n_items + item``, searched by bisection.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _triplets(ds: SplitDataset, rng, pick) -> TripletBatch:
     users_all, items_all = train_pairs(ds)
     if users_all.size == 0:
         raise TrainError("dataset has no train interactions")
-    keys = np.unique(users_all * ds.n_items + items_all)
+    keys = ds.train_keys
     full = np.bincount(keys // ds.n_items, minlength=ds.n_users) >= ds.n_items
     if full.any():
         raise TrainError(f"user {int(np.argmax(full))} interacted with every item; "
@@ -123,11 +123,13 @@ def _triplets(ds: SplitDataset, rng, pick) -> TripletBatch:
     idx = pick(users_all.size)
     users = users_all[idx]
     neg = rng.integers(ds.n_items, size=users.size)
-    redo = np.flatnonzero(np.isin(users * ds.n_items + neg, keys))
-    while redo.size:
+    redo = np.arange(users.size)
+    while True:  # keep the rows whose negative is a train key, and redraw them
+        query = users[redo] * ds.n_items + neg[redo]
+        redo = redo[keys.take(np.searchsorted(keys, query), mode="clip") == query]
+        if not redo.size:
+            return TripletBatch(users, items_all[idx], neg)
         neg[redo] = rng.integers(ds.n_items, size=redo.size)
-        redo = redo[np.isin(users[redo] * ds.n_items + neg[redo], keys)]
-    return TripletBatch(users, items_all[idx], neg)
 
 
 def sample_triplets(ds: SplitDataset, count: int, rng) -> TripletBatch:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from odecf.data import SplitDataset, synthetic_split
@@ -16,9 +17,10 @@ def toy_ds():
     return SplitDataset(
         n_users=2,
         n_items=4,
-        train=[[0, 1], [0, 2]],
-        validation=[2, 1],
-        test=[3, 3],
+        train_indptr=np.array([0, 2, 4]),
+        train_items=np.array([0, 1, 0, 2]),
+        validation=np.array([2, 1]),
+        test=np.array([3, 3]),
         user_index={"u0": 0, "u1": 1},
         item_index={f"i{i}": i for i in range(4)},
     )

@@ -1,10 +1,11 @@
+import dataclasses
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
 from odecf.data import (
     DataError,
-    InteractionLog,
-    RawInteraction,
     k_core_filter,
     leave_one_out_split,
     parse_interactions,
@@ -13,6 +14,8 @@ from odecf.data import (
     train_pairs,
     write_split,
 )
+from odecf.evaluation import rank_all
+from odecf.graph import build_adjacency
 
 
 def parse_lines(lines, columns=("user", "item", "time")):
@@ -67,8 +70,11 @@ class TestParseInteractions:
 
 
 def make_log(pairs):
-    inter = [RawInteraction(u, i, t) for u, i, t in pairs]
-    return InteractionLog(inter, len({p[0] for p in pairs}), len({p[1] for p in pairs}))
+    return parse_lines([f"{u} {i} {t}" for u, i, t in pairs])[0]
+
+
+def rows(log):
+    return [(r.user_key, r.item_key, r.timestamp) for r in log.interactions]
 
 
 class TestKCoreFilter:
@@ -91,7 +97,6 @@ class TestKCoreFilter:
         pairs = {(f"u{rng.integers(30)}", f"i{rng.integers(25)}") for _ in range(400)}
         log = make_log([(u, i, 1) for u, i in sorted(pairs)])
         out = k_core_filter(log, 5)
-        from collections import Counter
         u_deg = Counter(r.user_key for r in out.interactions)
         i_deg = Counter(r.item_key for r in out.interactions)
         assert min(u_deg.values()) >= 5
@@ -148,17 +153,16 @@ class TestKCoreFilter:
                 if not users_only and (sub.sum(0)[in_i] < k).any():
                     continue
                 core |= sub
-        want = [r for r in log.interactions
-                if core[int(r.user_key[1:]), int(r.item_key[1:])]]
+        want = [(u, i, t) for u, i, t in rows(log) if core[int(u[1:]), int(i[1:])]]
 
         if not want:
             with pytest.raises(DataError, match="removed every interaction"):
                 k_core_filter(log, k, users_only=users_only)
             return
         out = k_core_filter(log, k, users_only=users_only)
-        assert out.interactions == want
-        assert out.user_count == len({r.user_key for r in want})
-        assert out.item_count == len({r.item_key for r in want})
+        assert rows(out) == want
+        assert out.user_count == len({u for u, _, _ in want})
+        assert out.item_count == len({i for _, i, _ in want})
 
 
 class TestLeaveOneOutSplit:
@@ -242,8 +246,8 @@ class TestSplitIO:
         back = read_split(tmp_path)
         assert back.n_users == ds.n_users and back.n_items == ds.n_items
         assert back.train == ds.train
-        assert back.validation == ds.validation
-        assert back.test == ds.test
+        assert np.array_equal(back.validation, ds.validation)
+        assert np.array_equal(back.test, ds.test)
         assert back.user_index == ds.user_index
 
     def test_train_pairs_layout(self):
@@ -252,3 +256,222 @@ class TestSplitIO:
         assert users.dtype == np.int64 and len(users) == len(items)
         flat = [(u, i) for u in range(ds.n_users) for i in ds.train[u]]
         assert list(zip(users.tolist(), items.tolist())) == flat
+
+    def test_files_match_the_line_writer(self, tmp_path):
+        # the text format of the per-line writer the array writer replaced
+        def write_lines(ds, outdir):
+            outdir.mkdir()
+            with open(outdir / "train.txt", "w", encoding="utf-8") as fh:
+                for u in range(ds.n_users):
+                    for i in ds.train[u]:
+                        fh.write(f"{u} {i}\n")
+            for name, column in (("val.txt", ds.validation), ("test.txt", ds.test)):
+                with open(outdir / name, "w", encoding="utf-8") as fh:
+                    for u in range(ds.n_users):
+                        fh.write(f"{u} {column[u]}\n")
+            for name, index in (("user_map.txt", ds.user_index), ("item_map.txt", ds.item_index)):
+                with open(outdir / name, "w", encoding="utf-8") as fh:
+                    for key, idx in sorted(index.items(), key=lambda kv: kv[1]):
+                        fh.write(f"{key}\t{idx}\n")
+
+        log = make_log([(f"u{u}", f"i{(u * 7 + j) % 23}", j) for u in range(12) for j in range(5)])
+        for ds in (synthetic_split(n_users=30, n_items=25, seed=3), leave_one_out_split(log)):
+            want, got = tmp_path / f"want{ds.n_users}", tmp_path / f"got{ds.n_users}"
+            write_lines(ds, want)
+            write_split(ds, got)
+            for name in ("train.txt", "val.txt", "test.txt", "user_map.txt", "item_map.txt"):
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+            back = read_split(got)
+            assert np.array_equal(back.train_indptr, ds.train_indptr)
+            assert np.array_equal(back.train_items, ds.train_items)
+
+
+def list_synthetic_split(n_users, n_items, seed, min_train, max_train):
+    """The per-user list construction the array version of ``synthetic_split`` replaced."""
+    rng = np.random.default_rng(seed)
+    train, validation, test = [], [], []
+    for _ in range(n_users):
+        size = int(rng.integers(min_train, max_train + 1))
+        chosen = rng.choice(n_items, size=size + 2, replace=False)
+        train.append([int(x) for x in chosen[:size]])
+        validation.append(int(chosen[size]))
+        test.append(int(chosen[size + 1]))
+    covered = set()
+    for items in train:
+        covered.update(items)
+    for missing in sorted(set(range(n_items)) - covered):
+        for u in rng.permutation(n_users):
+            u = int(u)
+            if missing not in train[u] and missing != validation[u] and missing != test[u]:
+                train[u].append(missing)
+                break
+    return train, validation, test
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 11, 3, 4), (30, 60, 2, 1, 2), (12, 10, 7, 3, 6),
+                                   (40, 200, 5, 2, 3)])
+def test_synthetic_split_keeps_its_draws(shape):
+    n_users, n_items, seed, min_train, max_train = shape
+    ds = synthetic_split(n_users, n_items, seed, min_train, max_train)
+    train, validation, test = list_synthetic_split(*shape)
+    assert ds.train == train
+    assert ds.validation.tolist() == validation and ds.test.tolist() == test
+
+
+def reference_ingest(lines, columns, k, users_only):
+    """Pure-Python parse -> k-core -> split with dicts and ``sorted``, record by record.
+
+    Returns (parse counts, parsed rows, k-cored rows, split) or ``None`` for
+    the rows and split when the k-core is empty.
+    """
+    u_at, i_at, t_at = (columns.index(name) for name in ("user", "item", "time"))
+    width = max(u_at, i_at, t_at) + 1
+    earliest = {}
+    parsed = duplicates = malformed = 0
+    for raw in lines:
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        fields = stripped.split()
+        if len(fields) < width:
+            malformed += 1
+            continue
+        try:
+            stamp = int(fields[t_at])
+        except ValueError:
+            malformed += 1
+            continue
+        if stamp < 0:
+            malformed += 1
+            continue
+        parsed += 1
+        pair = (fields[u_at], fields[i_at])
+        if pair in earliest:
+            duplicates += 1
+            earliest[pair] = min(earliest[pair], stamp)
+        else:
+            earliest[pair] = stamp
+    counts = (parsed, duplicates, malformed)
+    parsed_rows = [(u, i, t) for (u, i), t in earliest.items()]
+
+    kept = parsed_rows
+    while True:
+        du = Counter(u for u, _, _ in kept)
+        di = Counter(i for _, i, _ in kept)
+        survivors = [r for r in kept if du[r[0]] >= k and (users_only or di[r[1]] >= k)]
+        if len(survivors) == len(kept):
+            break
+        kept = survivors
+    if not kept:
+        return counts, parsed_rows, None, None
+
+    per_user = defaultdict(list)
+    for r in kept:
+        per_user[r[0]].append(r)
+    user_keys = sorted(per_user)
+    item_keys = sorted({i for _, i, _ in kept})
+    item_index = {key: n for n, key in enumerate(item_keys)}
+    train, validation, test = [], [], []
+    for key in user_keys:
+        ordered = [item_index[i] for _, i, _ in sorted(per_user[key], key=lambda r: (r[2], r[1]))]
+        train.append(ordered[:-2])
+        validation.append(ordered[-2])
+        test.append(ordered[-1])
+    split = (user_keys, item_keys, train, validation, test)
+    return counts, parsed_rows, kept, split
+
+
+# keys whose string order differs from their numeric or code-point-naive order,
+# then a tail of rare keys that the k-core peels
+USER_KEYS = ["u1", "u2", "u9", "u10", "u11", "u100", "U3", "ü", "ユーザ", "z\u00e9", "ze",
+             *(f"u{n}" for n in range(12, 40))]
+ITEM_KEYS = ["i1", "i2", "i9", "i10", "i20", "ï", "項目", "é", "e\u0301", "a", "b",
+             *(f"i{n}" for n in range(30, 60))]
+
+
+def skewed(rng, keys):
+    weights = 1.0 / np.arange(1, len(keys) + 1)
+    return keys[int(rng.choice(len(keys), p=weights / weights.sum()))]
+
+
+def dirty_log(seed):
+    """A seeded log with every kind of line the parser must treat like the reference."""
+    rng = np.random.default_rng(seed)
+    columns = ("user", "item", "rating", "time") if seed % 2 else ("user", "item", "time")
+
+    def line(user, item, stamp):
+        fields = {"user": user, "item": item, "time": stamp, "rating": f"{rng.integers(1, 6)}.0"}
+        out = [fields[c] for c in columns] + ["extra"] * int(rng.integers(0, 3))
+        return rng.choice([" ", "\t", "  ", "\u00a0"]).join(out)
+
+    lines, pairs = [], []
+    for _ in range(int(rng.integers(120, 200))):
+        user, item = skewed(rng, USER_KEYS), skewed(rng, ITEM_KEYS)
+        stamp = str(rng.integers(0, 12))  # a narrow range makes equal stamps common
+        pairs.append((user, item, int(stamp)))
+        roll = rng.random()
+        if roll < 0.05:
+            stamp = str(rng.choice(["+5", "1_000", "-3", "abc", "7.5", ""]))
+        lines.append(line(user, item, stamp) if stamp else f"{user} {item}")
+        if roll > 0.9 and pairs:  # a later duplicate, often with an earlier stamp
+            u, i, t = pairs[int(rng.integers(len(pairs)))]
+            lines.append(line(u, i, str(max(0, t - int(rng.integers(0, 4))))))
+        if roll > 0.97:
+            lines.append(str(rng.choice(["", "   ", "\t \n", "short"])))
+    return lines, columns
+
+
+class TestAgainstReferenceIngest:
+    @pytest.mark.parametrize("users_only", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_parse_kcore_split_match(self, seed, users_only):
+        lines, columns = dirty_log(seed)
+        counts, parsed_rows, kept_rows, split = reference_ingest(lines, columns, 3, users_only)
+
+        log, stats = parse_interactions(iter(lines), columns)
+        assert (stats.parsed, stats.duplicates, stats.malformed) == counts
+        assert rows(log) == parsed_rows
+        assert log.user_count == len({u for u, _, _ in parsed_rows})
+        assert log.item_count == len({i for _, i, _ in parsed_rows})
+        if kept_rows is None:
+            with pytest.raises(DataError, match="removed every interaction"):
+                k_core_filter(log, 3, users_only=users_only)
+            return
+        kept = k_core_filter(log, 3, users_only=users_only)
+        assert rows(kept) == kept_rows
+
+        ds = leave_one_out_split(kept)
+        user_keys, item_keys, train, validation, test = split
+        assert list(ds.user_index.items()) == [(key, n) for n, key in enumerate(user_keys)]
+        assert list(ds.item_index.items()) == [(key, n) for n, key in enumerate(item_keys)]
+        assert all(type(key) is str for key in [*ds.user_index, *ds.item_index])
+        assert ds.train == train
+        assert ds.validation.tolist() == validation
+        assert ds.test.tolist() == test
+
+    def test_logs_hold_every_dirty_case(self):
+        text = "\n".join(line for seed in range(20) for line in dirty_log(seed)[0])
+        for needle in ("+5", "1_000", "-3", "abc", "u9", "u10", "ユーザ", "\u00a0", "extra"):
+            assert needle in text
+        assert any(not line.strip() for seed in range(20) for line in dirty_log(seed)[0])
+
+
+def test_interface_read_by_the_benchmark():
+    """The surface the benchmark harness reads: rows with key attributes, a
+    replaceable row array, per-user train lists, a scipy adjacency and ranks."""
+    log, _ = parse_lines(["u1 b 4", "u1 a 2", "u2 a 1", "u1 c 3", "u2 b 5", "u2 c 6", "u1 d 9",
+                          "u2 d 8"])
+    first = log.interactions[0]
+    assert (first.user_key, first.item_key, first.timestamp) == ("u1", "b", 4)
+    short = dataclasses.replace(log, interactions=log.interactions[1:])
+    assert len(short) == len(log) - 1
+    assert rows(short) == rows(log)[1:]
+
+    ds = leave_one_out_split(log)
+    assert ds.train[ds.user_index["u1"]] == [ds.item_index["a"], ds.item_index["c"]]
+    assert all(type(i) is int for items in ds.train for i in items)
+    adj = build_adjacency(ds, allow_isolated_items=True).to_scipy()
+    assert adj.shape == (ds.n_users + ds.n_items,) * 2
+    fe = np.random.default_rng(0).normal(size=(ds.n_users + ds.n_items, 3))
+    ranks = [r.rank for r in rank_all(fe, ds, "test")]
+    assert len(ranks) == ds.n_users and all(type(r) is int and r >= 1 for r in ranks)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odecf.data import SplitDataset, synthetic_split
-from odecf.graph import GraphError, SparseAdjacency, build_adjacency, dump_coordinates, spmm
+from odecf.graph import GraphError, SparseAdjacency, build_adjacency, spmm
 
 
 def simple_ds(train, n_items, validation=None, test=None):
@@ -10,9 +10,10 @@ def simple_ds(train, n_items, validation=None, test=None):
     return SplitDataset(
         n_users=n_users,
         n_items=n_items,
-        train=[list(t) for t in train],
-        validation=validation or [0] * n_users,
-        test=test or [0] * n_users,
+        train_indptr=np.cumsum([0] + [len(t) for t in train]),
+        train_items=np.array([i for t in train for i in t], dtype=np.int64),
+        validation=np.array(validation or [0] * n_users),
+        test=np.array(test or [0] * n_users),
         user_index={f"u{u}": u for u in range(n_users)},
         item_index={f"i{i}": i for i in range(n_items)},
     )
@@ -140,14 +141,3 @@ class TestSpmm:
         with pytest.raises(GraphError):
             spmm(adj, np.zeros(2))
 
-
-def test_coordinate_dump_round_trips(tmp_path):
-    ds = synthetic_split(n_users=4, n_items=5, seed=8)
-    adj = build_adjacency(ds)
-    path = tmp_path / "adj.txt"
-    dump_coordinates(adj, path)
-    rebuilt = np.zeros((adj.n_nodes, adj.n_nodes))
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, adj.to_dense())

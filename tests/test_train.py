@@ -8,7 +8,7 @@ import odecf.model
 import odecf.train
 
 from conftest import make_state
-from odecf.data import synthetic_split
+from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
 from odecf.model import LightGCNState, final_embeddings, init_embeddings
@@ -94,6 +94,43 @@ class TestSampling:
         got = sorted(zip(batch.users.tolist(), batch.pos_items.tolist()))
         want = sorted((u, i) for u in range(small_ds.n_users) for i in small_ds.train[u])
         assert got == want
+
+
+def isin_triplets(ds, rng, pick):
+    """The sampler as it was with ``np.isin`` rejection over re-sorted keys."""
+    users_all, items_all = train_pairs(ds)
+    keys = np.unique(users_all * ds.n_items + items_all)
+    idx = pick(users_all.size)
+    users = users_all[idx]
+    neg = rng.integers(ds.n_items, size=users.size)
+    redo = np.flatnonzero(np.isin(users * ds.n_items + neg, keys))
+    while redo.size:
+        neg[redo] = rng.integers(ds.n_items, size=redo.size)
+        redo = redo[np.isin(users[redo] * ds.n_items + neg[redo], keys)]
+    return users, items_all[idx], neg
+
+
+class TestSamplerStream:
+    DATASETS = [
+        lambda: synthetic_split(n_users=40, n_items=30, seed=2, min_train=3, max_train=12),
+        lambda: simple_ds([list(range(9)), [0, 1, 2], [3, 5, 7, 9]], 10),
+        lambda: simple_ds([[4], [0, 1, 2, 3]], 5),  # queries above and below every key
+    ]
+
+    @pytest.mark.parametrize("make", DATASETS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_triplets_as_isin_rejection(self, make, seed):
+        ds = make()
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # later calls reuse the dataset's cached keys
+            got = epoch_triplets(ds, rng_a)
+            want = isin_triplets(ds, rng_b, rng_b.permutation)
+            for x, y in zip((got.users, got.pos_items, got.neg_items), want):
+                assert np.array_equal(x, y)
+            got = sample_triplets(ds, 50, rng_a)
+            want = isin_triplets(ds, rng_b, lambda n: rng_b.integers(n, size=50))
+            for x, y in zip((got.users, got.pos_items, got.neg_items), want):
+                assert np.array_equal(x, y)
 
 
 class TestBprLoss:
@@ -287,6 +324,15 @@ class TestFit:
         history, best = fit(toy_ds, state, cfg, validation_hook(toy_ds))
         assert max(h.ndcg20 for h in history) == 1.0
         assert history[1].loss < history[0].loss
+
+    def test_training_leaves_the_train_lists_unbuilt(self):
+        # ds.train is a derived view; the pipeline reads the CSR arrays only
+        ds = synthetic_split(n_users=12, n_items=10, seed=4)
+        state = make_state(ds, dims=4, std=0.1, seed=0)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=2, seed=0)
+        fit(ds, state, cfg, validation_hook(ds))
+        evaluate(final_embeddings(state), ds, "test", [20])
+        assert "train" not in vars(ds)
 
     def test_best_checkpoint_matches_history_maximum(self, toy_ds):
         state = self.toy_state(toy_ds, seed=2)
