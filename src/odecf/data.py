@@ -270,7 +270,8 @@ def write_split(ds: SplitDataset, outdir) -> None:
 
 
 def read_split(indir) -> SplitDataset:
-    """Read back a directory produced by :func:`write_split`."""
+    """Read back a directory produced by :func:`write_split`; :class:`DataError`
+    unless every id is within the maps and val.txt/test.txt name each user once."""
     indir = Path(indir)
 
     def read_map(name):
@@ -279,22 +280,27 @@ def read_split(indir) -> SplitDataset:
             return {key: int(idx) for key, idx in pairs}
 
     def read_pairs(name):  # the (user, item) columns
-        return np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
+        users, items = np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
+        if not ((0 <= users) & (users < n_users) & (0 <= items) & (items < n_items)).all():
+            raise DataError(f"{indir / name} holds ids outside {n_users} users x {n_items} items")
+        return users, items
 
     try:
         user_index, item_index = read_map("user_map.txt"), read_map("item_map.txt")
-        n_users = len(user_index)
+        n_users, n_items = len(user_index), len(item_index)
         indptr, items = _group_by_user(*read_pairs("train.txt"), n_users)
         validation, test = np.zeros((2, n_users), dtype=np.int64)
         for column, name in ((validation, "val.txt"), (test, "test.txt")):
             users, targets = read_pairs(name)
+            if (np.bincount(users, minlength=n_users) != 1).any():
+                raise DataError(f"{indir / name} must name each of the {n_users} users once")
             column[users] = targets
     except OSError as exc:
         raise DataError(f"cannot read split directory {indir}: {exc}") from exc
 
     return SplitDataset(
         n_users=n_users,
-        n_items=len(item_index),
+        n_items=n_items,
         train_indptr=indptr,
         train_items=items,
         validation=validation,

@@ -1,8 +1,9 @@
 """Symmetric-normalized bipartite adjacency in CSR form and the sparse-dense product.
 
 Embedding matrices are plain float64 ndarrays of shape (n_nodes, dims): user
-rows occupy [0, n_users), item rows [n_users, n_nodes). The adjacency is
-assembled by scipy from the normalized user x item block and its transpose.
+rows occupy [0, n_users), item rows [n_users, n_nodes). The adjacency is one
+scipy CSR matrix, assembled from the normalized user x item block and its
+transpose.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ class GraphError(ValueError):
     """Raised for ill-posed graph construction or mismatched products."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SparseAdjacency:
-    """Row-compressed symmetric adjacency over user+item nodes.
+    """Symmetric adjacency over user+item nodes, held as one scipy CSR matrix.
 
     Column indices are ascending within each row, which fixes the summation
     order of the multiply kernel. Entry (u, n_users+i) holds
@@ -30,28 +31,22 @@ class SparseAdjacency:
     construction and safe to share across threads.
     """
 
-    n_nodes: int
     n_users: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    matrix: sp.csr_matrix
+
+    @property
+    def n_nodes(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.row_offsets[-1])
+        return self.matrix.nnz
 
     def to_scipy(self) -> sp.csr_matrix:
-        cached = getattr(self, "_csr_cache", None)
-        if cached is None:
-            cached = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.n_nodes, self.n_nodes),
-            )
-            self._csr_cache = cached
-        return cached
+        return self.matrix
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        return self.matrix.toarray()
 
 
 def build_adjacency(ds: SplitDataset, allow_isolated_items: bool = False) -> SparseAdjacency:
@@ -79,14 +74,7 @@ def build_adjacency(ds: SplitDataset, allow_isolated_items: bool = False) -> Spa
     weights = 1.0 / np.sqrt(user_deg[users].astype(np.float64) * item_deg[items].astype(np.float64))
     block = sp.csr_matrix((weights, (users, items)), shape=(n, m))
     full = sp.bmat([[None, block], [block.T, None]], format="csr")  # canonical: columns ascending
-
-    return SparseAdjacency(
-        n_nodes=n + m,
-        n_users=n,
-        row_offsets=full.indptr,
-        col_indices=full.indices,
-        values=full.data,
-    )
+    return SparseAdjacency(n_users=n, matrix=full)
 
 
 def spmm(adj: SparseAdjacency, emb: np.ndarray) -> np.ndarray:
@@ -100,5 +88,5 @@ def spmm(adj: SparseAdjacency, emb: np.ndarray) -> np.ndarray:
         raise GraphError(
             f"embedding shape {emb.shape} does not match adjacency over {adj.n_nodes} nodes"
         )
-    return adj.to_scipy() @ emb
+    return adj.matrix @ emb
 

@@ -4,7 +4,8 @@ The backward pass is discretize-then-optimize. The solver map is a symmetric
 polynomial p(A) in the adjacency, so the gradient wrt e0 is p(A) applied to
 the cotangent of the final embeddings, and the hop weights need one scalar
 more; gradients agree with central finite differences to numerical precision.
-The score head's cotangent reaches the node rows through one sparse incidence
+One score head gathers the batch's rows once and gives both the loss and
+their cotangent, which reaches the node rows through one sparse incidence
 product. Negatives are sampled in bulk by rejection against the dataset's
 sorted train keys ``user * n_items + item``, searched by bisection.
 """
@@ -153,62 +154,54 @@ def bpr_loss(pos_scores, neg_scores, params_l2: float, l2_lambda: float) -> floa
     return float(np.mean(np.logaddexp(0.0, -margin)) + l2_lambda * params_l2)
 
 
-def batch_l2(e0: np.ndarray, n_users: int, batch: TripletBatch) -> float:
-    """Mean squared norm of the e0 rows used by the batch, repeats counted."""
-    total = 0.0
-    for rows in (batch.users, n_users + batch.pos_items, n_users + batch.neg_items):
-        total += float(np.sum(e0[rows] ** 2))
-    return total / len(batch)
+def _score_head(batch: TripletBatch, state, fe, l2_lambda: float):
+    """Regularized BPR loss of ``batch`` on the final embeddings ``fe``.
 
-
-def _batch_scores(fe, n_users, batch):
-    u = fe[batch.users]
-    pos = np.einsum("ij,ij->i", u, fe[n_users + batch.pos_items])
-    neg = np.einsum("ij,ij->i", u, fe[n_users + batch.neg_items])
-    return pos, neg
+    Gathers the node rows ``rows = [u; n_users+p; n_users+q]`` of ``fe`` and
+    ``e0`` once and returns ``(loss, rows, d_fe, d_l2)``: the cotangents wrt
+    those rows of ``fe`` and, for the L2 term (None when ``l2_lambda`` is 0),
+    of ``e0``. A repeated row appears once per use.
+    """
+    n_users = state.adjacency.n_users
+    size = len(batch)
+    rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
+    fu, fp, fq = np.split(fe[rows], 3)
+    pos, neg = np.einsum("ij,ij->i", fu, fp), np.einsum("ij,ij->i", fu, fq)
+    e = state.e0[rows]
+    l2 = sum(float(np.sum(part ** 2)) for part in np.split(e, 3))  # repeats counted
+    loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
+    coef = -expit(neg - pos) / size  # d mean-softplus(-margin) / d margin
+    d_fe = np.tile(coef, 3)[:, None] * np.concatenate([fp - fq, fu, -fu])
+    return loss, rows, d_fe, (2.0 * l2_lambda / size) * e if l2_lambda else None
 
 
 def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
     """Forward-only loss; used by finite-difference checks."""
     fe, _ = model_forward(state)
-    n_users = state.adjacency.n_users
-    pos, neg = _batch_scores(fe, n_users, batch)
-    return bpr_loss(pos, neg, batch_l2(state.e0, n_users, batch), l2_lambda)
+    return _score_head(batch, state, fe, l2_lambda)[0]
 
 
-def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float) -> GradientSet:
-    """Exact gradient of the regularized batch loss wrt e0 (and hop weights).
+def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float):
+    """Regularized batch loss and its exact gradient wrt e0 (and hop weights).
 
     ``fe`` and ``ctx`` are what ``model_forward`` returned. The score head is
     differentiated by hand; ``model_backward`` carries its cotangent back to
-    e0. The L2 term adds 2*l2_lambda*row/batch_rows for every appearance of a
-    sampled row.
+    e0. Returns ``(loss, GradientSet)``.
     """
-    n_users = state.adjacency.n_users
-    size = len(batch)
-    rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
+    loss, rows, d_fe, d_l2 = _score_head(batch, state, fe, l2_lambda)
     # pick[rows[j], j] = 1, so pick @ X adds row j of X into node rows[j], in
     # ascending j within each node
     pick = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
                          shape=(fe.shape[0], rows.size))
-
-    fu, fp, fq = np.split(fe[rows], 3)
-    margin = np.einsum("ij,ij->i", fu, fp) - np.einsum("ij,ij->i", fu, fq)
-    coef = -expit(-margin) / size  # d mean-softplus(-margin) / d margin
-    d_fe = pick @ (np.tile(coef, 3)[:, None] * np.concatenate([fp - fq, fu, -fu]))
-
-    d_e0, d_w = model_backward(state, ctx, d_fe)
-    if l2_lambda:
-        d_e0 += pick @ ((2.0 * l2_lambda / size) * state.e0[rows])
-    return GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)
+    d_e0, d_w = model_backward(state, ctx, pick @ d_fe)
+    if d_l2 is not None:
+        d_e0 += pick @ d_l2
+    return loss, GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)
 
 
 def loss_and_grads(state, batch: TripletBatch, l2_lambda: float):
     fe, ctx = model_forward(state)
-    n_users = state.adjacency.n_users
-    pos, neg = _batch_scores(fe, n_users, batch)
-    loss = bpr_loss(pos, neg, batch_l2(state.e0, n_users, batch), l2_lambda)
-    return loss, backward(batch, state, fe, ctx, l2_lambda)
+    return backward(batch, state, fe, ctx, l2_lambda)
 
 
 def adam_step(params, grads, opt: OptimizerState, lr: float) -> None:

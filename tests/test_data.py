@@ -250,6 +250,22 @@ class TestSplitIO:
         assert np.array_equal(back.test, ds.test)
         assert back.user_index == ds.user_index
 
+    @pytest.mark.parametrize("name, edit, match", [
+        ("val.txt", lambda lines: lines[:-1], "each of the 5 users once"),
+        ("val.txt", lambda lines: lines + lines[:1], "each of the 5 users once"),
+        ("test.txt", lambda lines: lines[:1] + ["1 99"] + lines[2:], "outside"),
+        ("test.txt", lambda lines: lines[:-1] + ["-1 0"], "outside"),
+        ("train.txt", lambda lines: lines + ["0 8"], "outside"),
+        ("train.txt", lambda lines: lines + ["5 0"], "outside"),
+        ("train.txt", lambda lines: lines + ["0 -2"], "outside"),
+    ])
+    def test_bad_files_rejected(self, tmp_path, name, edit, match):
+        write_split(synthetic_split(n_users=5, n_items=8, seed=2), tmp_path)
+        path = tmp_path / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(DataError, match=match):
+            read_split(tmp_path)
+
     def test_train_pairs_layout(self):
         ds = synthetic_split(n_users=4, n_items=7, seed=1)
         users, items = train_pairs(ds)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import odecf.evaluation
 
 from odecf.data import synthetic_split
 from odecf.evaluation import (
@@ -65,6 +69,15 @@ class TestRankHeldout:
             rank_heldout(fe, ds, 5, 1, set())
         with pytest.raises(EvalError):
             rank_heldout(fe, ds, 0, 9, set())
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_exclusions_rejected(self, bad):
+        # item 4 outscores the target; a wrapped -1 would silently exclude it
+        ds = simple_ds([[0], [0], [0]], 5, validation=[1, 1, 1], test=[2, 2, 2])
+        fe = embedding_for_scores([[0.0, 0.5, 0.1, 0.2, 0.9]] * 3, 3)
+        assert rank_heldout(fe, ds, 0, 1, {0}).rank == 2
+        with pytest.raises(EvalError, match=f"excluded item id {bad} out of range"):
+            rank_heldout(fe, ds, 0, 1, {0, bad})
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -169,6 +182,33 @@ class TestEvaluate:
         for r in results:
             excl = set(ds.train[r.user]) | {ds.validation[r.user]}
             assert r.rank == rank_heldout(fe, ds, r.user, ds.test[r.user], excl).rank
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_small_blocks_match_rank_heldout_on_exact_ties(self, monkeypatch, height, mode):
+        # integer embeddings give exact products and many tied scores in every
+        # row, so ties fall on both sides of each block boundary
+        ds = synthetic_split(n_users=11, n_items=10, seed=12)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items * height)
+        fe = np.random.default_rng(13).integers(-1, 2, size=(ds.n_users + ds.n_items, 2))
+        fe = fe.astype(np.float64)
+        targets = ds.validation if mode == "validation" else ds.test
+        results = rank_all(fe, ds, mode)
+        assert [r.user for r in results] == list(range(ds.n_users))
+        for r in results:
+            excl = set(ds.train[r.user]) | ({ds.validation[r.user]} if mode == "test" else set())
+            assert r.rank == rank_heldout(fe, ds, r.user, targets[r.user], excl).rank
+
+    def test_score_blocks_stay_within_budget(self):
+        ds = synthetic_split(n_users=1500, n_items=5000, seed=14)
+        fe = np.random.default_rng(15).normal(size=(ds.n_users + ds.n_items, 8))
+        tracemalloc.start()
+        try:
+            rank_all(fe, ds, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * odecf.evaluation._BLOCK_BYTES
 
     def test_scale_invariance_of_ranks(self):
         ds = synthetic_split(n_users=10, n_items=12, seed=9)

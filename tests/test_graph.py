@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odecf.data import SplitDataset, synthetic_split
 from odecf.graph import GraphError, SparseAdjacency, build_adjacency, spmm
@@ -20,13 +21,7 @@ def simple_ds(train, n_items, validation=None, test=None):
 
 
 def zero_adjacency(n_nodes, n_users):
-    return SparseAdjacency(
-        n_nodes=n_nodes,
-        n_users=n_users,
-        row_offsets=np.zeros(n_nodes + 1, dtype=np.int64),
-        col_indices=np.zeros(0, dtype=np.int64),
-        values=np.zeros(0),
-    )
+    return SparseAdjacency(n_users=n_users, matrix=sp.csr_matrix((n_nodes, n_nodes)))
 
 
 class TestBuildAdjacency:
@@ -81,8 +76,9 @@ class TestBuildAdjacency:
     def test_sorted_columns_within_rows(self):
         ds = synthetic_split(n_users=8, n_items=10, seed=7)
         adj = build_adjacency(ds)
+        csr = adj.to_scipy()
         for row in range(adj.n_nodes):
-            cols = adj.col_indices[adj.row_offsets[row] : adj.row_offsets[row + 1]]
+            cols = csr.indices[csr.indptr[row] : csr.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
 
 

@@ -18,7 +18,7 @@ from odecf.train import (
     TrainError,
     TripletBatch,
     adam_step,
-    batch_l2,
+    batch_loss,
     bpr_loss,
     epoch_triplets,
     finite_difference_check,
@@ -30,7 +30,7 @@ from odecf.train import (
     write_training_log,
 )
 
-from test_graph import simple_ds
+from test_graph import simple_ds, zero_adjacency
 
 
 def make_batch(users, pos, neg):
@@ -154,14 +154,31 @@ class TestBprLoss:
         with pytest.raises(TrainError):
             bpr_loss(np.zeros(3), np.zeros(2), 0.0, 0.0)
 
-    def test_batch_l2_counts_repeats(self):
-        # 2 users + 4 items; user 0 and item 1 each appear twice
+    def test_batch_loss_l2_counts_repeats(self):
+        # 2 users + 4 items; user 0 and item 1 each appear twice. A 0-layer
+        # LightGCN scores with e0 itself.
         e0 = np.arange(12.0).reshape(6, 2)
+        state = LightGCNState.create(e0, zero_adjacency(6, 2), 0)
         batch = make_batch([0, 0], [1, 1], [2, 3])
-        got = batch_l2(e0, 2, batch)
         rows = [0, 0, 3, 3, 4, 5]
         want = sum(float(np.sum(e0[r] ** 2)) for r in rows) / 2
+        got = batch_loss(state, batch, 1.0) - batch_loss(state, batch, 0.0)
         assert got == pytest.approx(want, rel=1e-15)
+        assert batch_loss(state, batch, 0.0) == bpr_loss([7.0, 7.0], [9.0, 11.0], 0.0, 0.0)
+
+    @pytest.mark.parametrize("model", ["euler", "rk4-weighted", "lightgcn"])
+    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
+    def test_trained_loss_is_batch_loss(self, small_ds, model, l2_lambda):
+        if model == "lightgcn":
+            adj = build_adjacency(small_ds)
+            state = LightGCNState.create(init_embeddings(adj.n_nodes, 4, 0.5, 1), adj, 3)
+        else:
+            method, _, weighted = model.partition("-")
+            state = make_state(small_ds, method=method, steps=2, n_hops=2,
+                               use_weights=bool(weighted))
+        batch = make_batch([0, 1, 0, 5], [2, 3, 2, 7], [3, 2, 5, 2])
+        loss, _ = loss_and_grads(state, batch, l2_lambda)
+        assert loss == batch_loss(state, batch, l2_lambda)
 
 
 def mf_bpr_gradient(e0, n_users, batch, l2_lambda):
