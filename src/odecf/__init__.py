@@ -43,9 +43,7 @@ from .model import (
     init_embeddings,
     integrate,
     lightgcn_forward,
-    load_embeddings,
     predict_scores,
-    save_embeddings,
 )
 from .train import (
     GradientSet,

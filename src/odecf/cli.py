@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import (
     DataError,
+    column_positions,
     k_core_filter,
     leave_one_out_split,
     parse_interactions,
@@ -98,12 +99,15 @@ class ExperimentConfig:
             raise ConfigError(f"field 'eval_n': needs positive cutoffs, got {self.eval_n!r}")
         return values
 
-    def validate(self, need_dataset: bool = True) -> None:
-        if need_dataset:
-            if not self.dataset:
-                raise ConfigError("field 'dataset': no interaction file configured")
-            if not Path(self.dataset).exists():
-                raise ConfigError(f"field 'dataset': file not found: {self.dataset}")
+    def validate(self) -> None:
+        if not self.dataset:
+            raise ConfigError("field 'dataset': no interaction file configured")
+        if not Path(self.dataset).exists():
+            raise ConfigError(f"field 'dataset': file not found: {self.dataset}")
+        try:
+            column_positions(self.columns)
+        except DataError as exc:
+            raise ConfigError(f"field 'columns': {exc}") from exc
         if self.model not in _MODELS:
             raise ConfigError(f"field 'model': expected one of {_MODELS}, got {self.model!r}")
         if self.dims < 1:
@@ -372,7 +376,7 @@ def emit_sweep_table(results_dir, out_csv=None) -> Path:
     return out_csv
 
 
-def run_gradcheck(seed: int = 0, tolerance: float = GRADCHECK_TOLERANCE) -> float:
+def run_gradcheck(seed: int = 0) -> float:
     """Finite-difference audit of the training gradients on a small random instance.
 
     Covers {euler, rk4} x n_hops {1,2,3} x weights {on, off}; prints the max
@@ -399,8 +403,8 @@ def run_gradcheck(seed: int = 0, tolerance: float = GRADCHECK_TOLERANCE) -> floa
                 worst = max(worst, err)
                 print(f"gradcheck method={method} n_hops={n_hops} "
                       f"weights={'on' if use_weights else 'off'}: max_rel_err={err:.3e}")
-    status = "OK" if worst < tolerance else "FAIL"
-    print(f"gradcheck overall max_rel_err={worst:.3e} tolerance={tolerance:.0e} [{status}]")
+    status = "OK" if worst < GRADCHECK_TOLERANCE else "FAIL"
+    print(f"gradcheck overall max_rel_err={worst:.3e} tolerance={GRADCHECK_TOLERANCE:.0e} [{status}]")
     return worst
 
 

@@ -83,7 +83,8 @@ class SplitDataset:
         return int(self.train_indptr[-1])
 
 
-def _column_positions(columns) -> tuple[int, int, int]:
+def column_positions(columns) -> tuple[int, int, int]:
+    """Field indices of user, item and time; :class:`DataError` if one is missing or repeated."""
     if isinstance(columns, str):
         names = [c for c in columns.replace(",", " ").split() if c]
     else:
@@ -110,7 +111,7 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
     pairs were first seen; lines that do not yield a non-negative integer
     timestamp and both keys count as malformed.
     """
-    u_at, i_at, t_at = _column_positions(columns)
+    u_at, i_at, t_at = column_positions(columns)
     width = max(u_at, i_at, t_at) + 1
 
     if hasattr(source, "read") or (not isinstance(source, (str, Path)) and hasattr(source, "__iter__")):
@@ -271,16 +272,23 @@ def write_split(ds: SplitDataset, outdir) -> None:
 
 def read_split(indir) -> SplitDataset:
     """Read back a directory produced by :func:`write_split`; :class:`DataError`
-    unless every id is within the maps and val.txt/test.txt name each user once."""
+    unless every line parses, every id is within the maps and val.txt/test.txt
+    name each user once."""
     indir = Path(indir)
 
     def read_map(name):
         with open(indir / name, "r", encoding="utf-8") as fh:
             pairs = (line.rstrip("\n").split("\t") for line in fh if line.strip())
-            return {key: int(idx) for key, idx in pairs}
+            try:
+                return {key: int(idx) for key, idx in pairs}
+            except ValueError as exc:  # no tab, more than one, or a non-integer id
+                raise DataError(f"{indir / name} needs key<TAB>integer id lines: {exc}") from exc
 
     def read_pairs(name):  # the (user, item) columns
-        users, items = np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
+        try:
+            users, items = np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
+        except ValueError as exc:
+            raise DataError(f"{indir / name} needs lines of two integer ids: {exc}") from exc
         if not ((0 <= users) & (users < n_users) & (0 <= items) & (items < n_items)).all():
             raise DataError(f"{indir / name} holds ids outside {n_users} users x {n_items} items")
         return users, items

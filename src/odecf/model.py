@@ -3,10 +3,11 @@
 The trainable state is the initial embedding matrix e0 (users stacked above
 items) plus optional per-hop scalar weights. The derivative of the dynamics is
 g(E) = c A^K E - E: K hops of the normalized adjacency A, scaled by the product
-c of the hop weights. Euler, RK4 and the baseline all map e0 to the final
-embeddings by a symmetric polynomial p(A), so the exact reverse pass is p(A)
-applied to the cotangent, run by the same routine as the forward pass. The
-hop weights need one scalar more, dL/dc, and no tape.
+c of the hop weights. Euler, RK4 and the baseline, the uniform mean of the
+layers A^l e0 for l = 0..K, all map e0 to the final embeddings by a symmetric
+polynomial p(A), so the exact reverse pass is p(A) applied to the cotangent,
+run by the same routine as the forward pass. The hop weights need one scalar
+more, dL/dc, and no tape.
 """
 
 from __future__ import annotations
@@ -88,21 +89,18 @@ class ModelState:
 
 @dataclass(eq=False)
 class LightGCNState:
-    """Baseline state: K propagation layers combined with fixed layer weights."""
+    """Baseline state: the uniform mean of K propagation layers."""
 
     e0: np.ndarray
     adjacency: SparseAdjacency
     n_layers: int
-    layer_weights: np.ndarray
 
     @classmethod
-    def create(cls, e0, adjacency, n_layers, layer_weights=None) -> "LightGCNState":
-        return cls(e0=np.asarray(e0, dtype=np.float64), adjacency=adjacency, n_layers=n_layers,
-                   layer_weights=_layer_weights(n_layers, layer_weights))
+    def create(cls, e0, adjacency, n_layers) -> "LightGCNState":
+        return cls(e0=np.asarray(e0, dtype=np.float64), adjacency=adjacency, n_layers=n_layers)
 
     def copy(self) -> "LightGCNState":
-        return LightGCNState(self.e0.copy(), self.adjacency, self.n_layers,
-                             self.layer_weights.copy())
+        return LightGCNState(self.e0.copy(), self.adjacency, self.n_layers)
 
 
 def _check_rows(emb: np.ndarray, adjacency: SparseAdjacency) -> np.ndarray:
@@ -187,30 +185,20 @@ def integrate(state: ModelState) -> np.ndarray:
     return _integrate(state, state.e0)[0]
 
 
-def _layer_weights(n_layers: int, layer_weights) -> np.ndarray:
-    if n_layers < 0:
-        raise ModelError(f"layer count must be >= 0, got {n_layers}")
-    if layer_weights is None:
-        return np.full(n_layers + 1, 1.0 / (n_layers + 1))
-    layer_weights = np.asarray(layer_weights, dtype=np.float64)
-    if layer_weights.shape != (n_layers + 1,):
-        raise ModelError(f"need {n_layers + 1} layer weights, got shape {layer_weights.shape}")
-    return layer_weights
-
-
-def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int,
-                     layer_weights=None) -> np.ndarray:
-    """Layer-combination forward: E_f = sum_l w_l A^l E_0, uniform weights by default.
+def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int) -> np.ndarray:
+    """Layer-combination forward: E_f = sum_{l=0..K} A^l E_0 / (K + 1).
 
     A symmetric polynomial in A, so it is also its own reverse pass.
     """
-    layer_weights = _layer_weights(n_layers, layer_weights)
+    if n_layers < 0:
+        raise ModelError(f"layer count must be >= 0, got {n_layers}")
+    weight = 1.0 / (n_layers + 1)
     e0 = _check_rows(e0, adjacency)
-    acc = layer_weights[0] * e0
+    acc = weight * e0
     cur = e0
-    for l in range(1, n_layers + 1):
+    for _ in range(n_layers):
         cur = spmm(adjacency, cur)
-        acc = acc + layer_weights[l] * cur
+        acc = acc + weight * cur
     return _check_finite(acc)
 
 
@@ -222,7 +210,7 @@ def model_forward(state):
     """
     if isinstance(state, ModelState):
         return _integrate(state, state.e0)
-    return lightgcn_forward(state.e0, state.adjacency, state.n_layers, state.layer_weights), None
+    return lightgcn_forward(state.e0, state.adjacency, state.n_layers), None
 
 
 def model_backward(state, ctx, d_fe):
@@ -233,7 +221,7 @@ def model_backward(state, ctx, d_fe):
     dL/dw_k = (prod_{j != k} w_j) dL/dc.
     """
     if not isinstance(state, ModelState):
-        return lightgcn_forward(d_fe, state.adjacency, state.n_layers, state.layer_weights), None
+        return lightgcn_forward(d_fe, state.adjacency, state.n_layers), None
     cfg = state.solver
     if cfg.use_weights and ctx is None:
         raise ModelError("the hop-weight gradient needs the ctx returned by model_forward")
@@ -271,41 +259,3 @@ def init_embeddings(n_rows: int, dims: int, std: float, seed: int) -> np.ndarray
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, std, size=(n_rows, dims))
 
-
-_BINARY_MAGIC = b"EMBF64LE"
-
-
-def save_embeddings(path, emb: np.ndarray, binary: bool = False) -> None:
-    """Write an embedding snapshot; text is round-trip lossless, binary is raw <f8."""
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
-    if emb.ndim != 2:
-        raise ModelError("embedding snapshots must be 2-D")
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(np.array(emb.shape, dtype="<i8").tobytes())
-            fh.write(emb.astype("<f8", copy=False).tobytes())
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{emb.shape[0]} {emb.shape[1]}\n")
-            for row in emb:
-                fh.write(" ".join(repr(float(x)) for x in row))
-                fh.write("\n")
-
-
-def load_embeddings(path) -> np.ndarray:
-    """Read a snapshot written by :func:`save_embeddings`; format auto-detected."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(_BINARY_MAGIC))
-        if head == _BINARY_MAGIC:
-            shape = np.frombuffer(fh.read(16), dtype="<i8")
-            data = np.frombuffer(fh.read(), dtype="<f8")
-            if data.size != shape[0] * shape[1]:
-                raise ModelError(f"snapshot {path} is truncated")
-            return data.reshape(int(shape[0]), int(shape[1])).copy()
-    with open(path, "r", encoding="utf-8") as fh:
-        rows, dims = (int(x) for x in fh.readline().split())
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (rows, dims):
-        raise ModelError(f"snapshot {path} header says {(rows, dims)}, data is {data.shape}")
-    return data

@@ -7,7 +7,9 @@ more; gradients agree with central finite differences to numerical precision.
 One score head gathers the batch's rows once and gives both the loss and
 their cotangent, which reaches the node rows through one sparse incidence
 product. Negatives are sampled in bulk by rejection against the dataset's
-sorted train keys ``user * n_items + item``, searched by bisection.
+sorted train keys ``user * n_items + item``, searched by bisection. A
+checkpoint is e0 in numpy's ``.npy`` format plus a key=value meta file that
+also holds the hop weights when they train.
 """
 
 from __future__ import annotations
@@ -22,18 +24,15 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitDataset, train_pairs
-from .model import (
-    ModelState,
-    SolverError,
-    load_embeddings,
-    model_backward,
-    model_forward,
-    save_embeddings,
-)
+from .model import ModelState, SolverError, model_backward, model_forward
 
 
 class TrainError(ValueError):
     """Raised for ill-posed sampling or training requests."""
+
+
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+_FD_STEP = 1e-6  # central-difference step of the gradient check
 
 
 @dataclass(eq=False)
@@ -78,9 +77,6 @@ class OptimizerState:
     first_moment: list
     second_moment: list
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "OptimizerState":
@@ -209,14 +205,14 @@ def adam_step(params, grads, opt: OptimizerState, lr: float) -> None:
     if len(params) != len(grads) or len(params) != len(opt.first_moment):
         raise TrainError("parameter/gradient/moment lists are not congruent")
     opt.step_count += 1
-    c1 = 1.0 - opt.beta1 ** opt.step_count
-    c2 = 1.0 - opt.beta2 ** opt.step_count
+    c1 = 1.0 - _BETA1 ** opt.step_count
+    c2 = 1.0 - _BETA2 ** opt.step_count
     for p, g, m, v in zip(params, grads, opt.first_moment, opt.second_moment):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + opt.epsilon)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPSILON)
 
 
 def _trainables(state):
@@ -311,23 +307,23 @@ def _write_replacing(path: Path, write) -> None:
 
 
 def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) -> list[Path]:
-    """Persist the trainable state plus a small metadata file; returns paths.
-
-    Each file is written to a temp file and then moved into place.
+    """Persist e0 as ``checkpoint.emb`` (numpy ``.npy`` format) and the metadata,
+    with the hop weights when they train, as ``checkpoint_meta.txt``; returns
+    both paths. Each file is written to a temp file and then moved into place.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / "checkpoint.emb", outdir / "checkpoint_meta.txt"]
-    _write_replacing(paths[0], lambda tmp: save_embeddings(tmp, state.e0, binary=True))
-    weights = getattr(state, "hop_weights", None)
-    weight_path = outdir / "hop_weights.txt"
-    if weights is None:
-        weight_path.unlink(missing_ok=True)  # load_checkpoint would pick up a stale one
-    else:
-        text = "".join(f"{float(w)!r}\n" for w in weights)
-        _write_replacing(weight_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
-        paths.append(weight_path)
+
+    def write_e0(tmp):
+        with open(tmp, "wb") as fh:  # np.save given a path would append ".npy"
+            np.save(fh, state.e0)
+
+    _write_replacing(paths[0], write_e0)
     text = f"epoch={epoch}\nmetric={metric!r}\nconfig_hash={config_hash}\n"
+    weights = getattr(state, "hop_weights", None)
+    if weights is not None:
+        text += "hop_weights=" + ",".join(repr(float(w)) for w in weights) + "\n"
     _write_replacing(paths[1], lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return paths
 
@@ -344,19 +340,21 @@ def read_checkpoint_meta(indir) -> dict[str, str]:
 
 
 def load_checkpoint(indir):
-    """Read back (e0, hop_weights or None, metadata dict)."""
-    indir = Path(indir)
-    e0 = load_embeddings(indir / "checkpoint.emb")
-    weights = None
-    weight_path = indir / "hop_weights.txt"
-    if weight_path.exists():
-        with open(weight_path, "r", encoding="utf-8") as fh:
-            weights = np.array([float(line) for line in fh if line.strip()])
-    return e0, weights, read_checkpoint_meta(indir)
+    """Read back (e0, hop_weights or None, metadata dict); :class:`TrainError`
+    when ``checkpoint.emb`` is no complete ``.npy`` array or a hop weight no float."""
+    path = Path(indir) / "checkpoint.emb"
+    meta = read_checkpoint_meta(indir)
+    try:
+        e0 = np.load(path)
+        weights = meta.get("hop_weights")
+        weights = None if weights is None else np.array([float(w) for w in weights.split(",")])
+    except (ValueError, EOFError) as exc:
+        raise TrainError(f"checkpoint {path} (with the hop_weights of its meta file) "
+                         f"is unreadable: {exc}") from exc
+    return e0, weights, meta
 
 
-def finite_difference_check(state, batch: TripletBatch, l2_lambda: float,
-                            fd_step: float = 1e-6) -> float:
+def finite_difference_check(state, batch: TripletBatch, l2_lambda: float) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error per coordinate is |analytic - fd| / max(1, |fd|); the
@@ -368,11 +366,11 @@ def finite_difference_check(state, batch: TripletBatch, l2_lambda: float,
     for param, grad in zip(_trainables(state), grads.as_list()):
         for idx in np.ndindex(param.shape):
             orig = param[idx]
-            param[idx] = orig + fd_step
+            param[idx] = orig + _FD_STEP
             up = batch_loss(state, batch, l2_lambda)
-            param[idx] = orig - fd_step
+            param[idx] = orig - _FD_STEP
             down = batch_loss(state, batch, l2_lambda)
             param[idx] = orig
-            fd = (up - down) / (2.0 * fd_step)
+            fd = (up - down) / (2.0 * _FD_STEP)
             worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
     return worst

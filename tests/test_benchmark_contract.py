@@ -14,6 +14,8 @@ import scipy.sparse as sp
 from odecf.data import synthetic_split
 from odecf.evaluation import rank_all
 from odecf.graph import build_adjacency
+from odecf.model import LightGCNState, ModelState, SolverConfig, init_embeddings
+from odecf.train import loss_and_grads, sample_triplets
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,3 +42,24 @@ def test_adjacency_and_ranks_keep_their_shape():
     ranks = [r.rank for r in rank_all(fe, ds, "test")]
     assert len(ranks) == ds.n_users
     assert all(type(r) is int for r in ranks)
+
+
+def test_state_calls_keep_their_form():
+    """The positional ``create`` calls, ``copy``, ``hop_weights`` and gradient fields of ``run.py``."""
+    ds = synthetic_split(n_users=6, n_items=8, seed=3)
+    adj = build_adjacency(ds)
+    e0 = init_embeddings(ds.n_users + ds.n_items, 3, 0.1, 4)
+    batch = sample_triplets(ds, 5, np.random.default_rng(5))
+    solver = SolverConfig(method="rk4", t1=0.9, steps=1, n_hops=2, use_weights=True)
+    for state, has_weights in ((LightGCNState.create(e0, adj, 2), False),
+                               (ModelState.create(e0, adj, solver), True)):
+        copy = state.copy()
+        assert type(copy) is type(state) and copy.e0 is not state.e0
+        assert np.array_equal(copy.e0, e0)
+        weights = getattr(copy, "hop_weights", None)
+        assert (weights is not None) == has_weights
+        grads = loss_and_grads(copy, batch, 1e-4)[1]
+        assert grads.grad_e0.shape == e0.shape
+        assert (grads.grad_hop_weights is not None) == has_weights
+        if has_weights:
+            assert grads.grad_hop_weights.shape == weights.shape

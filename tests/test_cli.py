@@ -19,6 +19,9 @@ from odecf.cli import (
     load_config,
     main,
 )
+from odecf.train import load_checkpoint
+
+from test_train import damage_checkpoint
 
 
 @pytest.fixture
@@ -155,6 +158,17 @@ class TestRunExperiment:
         assert rc == EXIT_CONFIG
         assert "/absent/file.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, columns", [("train", "user,item"),
+                                               ("prepare-data", "user,time,time")])
+    def test_bad_columns_is_a_config_error(self, raw_file, tmp_path, capsys, verb, columns):
+        outdir = tmp_path / "run"
+        argv = [verb, "--outdir", str(outdir)]
+        for pair in fast_overrides(raw_file, outdir, columns=columns):
+            argv += ["--set", pair]
+        assert main(argv) == EXIT_CONFIG
+        assert "'columns'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_unknown_field_exit_code(self, raw_file, capsys):
         rc = main(["train", "--set", f"dataset={raw_file}", "--set", "no_such=1"])
         assert rc == EXIT_CONFIG
@@ -209,9 +223,21 @@ class TestPrepareAndEvaluate:
     def test_unweighted_rerun_drops_stale_hop_weights(self, raw_file, tmp_path, capsys):
         outdir = tmp_path / "run"
         self.train_then_evaluate(raw_file, outdir, capsys, use_weights="true")
-        assert (outdir / "hop_weights.txt").exists()
+        assert load_checkpoint(outdir)[1] is not None
         self.train_then_evaluate(raw_file, outdir, capsys, use_weights="false")
-        assert not (outdir / "hop_weights.txt").exists()
+        assert load_checkpoint(outdir)[1] is None
+        assert (outdir / "manifest.txt").read_text().split() == [
+            "config.txt", "train_log.csv", "metrics.csv", "checkpoint.emb", "checkpoint_meta.txt"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "pickled", "text"])
+    def test_evaluate_refuses_unreadable_checkpoint(self, raw_file, tmp_path, capsys, damage):
+        outdir = tmp_path / "run"
+        self.train_then_evaluate(raw_file, outdir, capsys)
+        damage_checkpoint(outdir / "checkpoint.emb", damage)
+        overrides = [arg for pair in fast_overrides(raw_file, tmp_path / "elsewhere")
+                     for arg in ("--set", pair)]
+        assert main(["evaluate", "--checkpoint", str(outdir)] + overrides) == EXIT_RUNTIME
+        assert str(outdir / "checkpoint.emb") in capsys.readouterr().err
 
 
 class TestSweep:

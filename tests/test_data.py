@@ -258,6 +258,11 @@ class TestSplitIO:
         ("train.txt", lambda lines: lines + ["0 8"], "outside"),
         ("train.txt", lambda lines: lines + ["5 0"], "outside"),
         ("train.txt", lambda lines: lines + ["0 -2"], "outside"),
+        ("train.txt", lambda lines: lines + ["1 x"], r"train\.txt"),
+        ("val.txt", lambda lines: lines[:-1] + ["4"], r"val\.txt"),
+        ("user_map.txt", lambda lines: lines + ["u9"], r"user_map\.txt"),
+        ("item_map.txt", lambda lines: lines[:-1] + ["i7\tseven"], r"item_map\.txt"),
+        ("item_map.txt", lambda lines: lines[:-1] + ["i7\t7\tx"], r"item_map\.txt"),
     ])
     def test_bad_files_rejected(self, tmp_path, name, edit, match):
         write_split(synthetic_split(n_users=5, n_items=8, seed=2), tmp_path)

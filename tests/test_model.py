@@ -15,11 +15,9 @@ from odecf.model import (
     init_embeddings,
     integrate,
     lightgcn_forward,
-    load_embeddings,
     model_backward,
     model_forward,
     predict_scores,
-    save_embeddings,
 )
 
 from test_graph import simple_ds, zero_adjacency
@@ -174,8 +172,6 @@ class TestLightGCN:
         e0 = np.random.default_rng(0).normal(size=(small_adj.n_nodes, 3))
         out = lightgcn_forward(e0, small_adj, 0)
         assert np.array_equal(out, 1.0 * e0)
-        out = lightgcn_forward(e0, small_adj, 0, [0.4])
-        assert np.array_equal(out, 0.4 * e0)
 
     def test_matches_dense_oracle(self, small_adj):
         e0 = np.random.default_rng(1).normal(size=(small_adj.n_nodes, 4))
@@ -187,13 +183,14 @@ class TestLightGCN:
     def test_zero_adjacency_keeps_layer_zero_only(self):
         adj = zero_adjacency(6, 3)
         e0 = np.random.default_rng(2).normal(size=(6, 2))
-        w = np.array([0.25, 0.25, 0.25, 0.25])
-        assert np.array_equal(lightgcn_forward(e0, adj, 3, w), 0.25 * e0)
+        assert np.array_equal(lightgcn_forward(e0, adj, 3), 0.25 * e0)
 
-    def test_weight_length_checked(self, small_adj):
+    def test_negative_layer_count_rejected(self, small_adj):
         e0 = np.zeros((small_adj.n_nodes, 2))
-        with pytest.raises(ModelError):
-            lightgcn_forward(e0, small_adj, 2, [0.5, 0.5])
+        with pytest.raises(ModelError, match="layer count"):
+            lightgcn_forward(e0, small_adj, -1)
+        with pytest.raises(ModelError, match="layer count"):
+            final_embeddings(LightGCNState.create(e0, small_adj, -1))
 
     def test_state_forward_dispatch(self, small_adj):
         e0 = np.random.default_rng(3).normal(size=(small_adj.n_nodes, 3))
@@ -252,27 +249,3 @@ class TestInitEmbeddings:
             init_embeddings(10, 0, 0.1, 0)
         with pytest.raises(ModelError):
             init_embeddings(10, 4, 0.0, 0)
-
-
-class TestSnapshotIO:
-    def test_text_round_trip_lossless(self, tmp_path):
-        emb = np.random.default_rng(5).normal(size=(7, 3))
-        path = tmp_path / "snap.emb"
-        save_embeddings(path, emb)
-        header = path.read_text().splitlines()[0]
-        assert header == "7 3"
-        assert np.array_equal(load_embeddings(path), emb)
-
-    def test_binary_round_trip(self, tmp_path):
-        emb = np.random.default_rng(6).normal(size=(11, 4))
-        path = tmp_path / "snap.bin"
-        save_embeddings(path, emb, binary=True)
-        assert np.array_equal(load_embeddings(path), emb)
-
-    def test_truncated_binary_detected(self, tmp_path):
-        emb = np.ones((3, 3))
-        path = tmp_path / "snap.bin"
-        save_embeddings(path, emb, binary=True)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ModelError, match="truncated"):
-            load_embeddings(path)

@@ -1,11 +1,8 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import odecf.model
-import odecf.train
 
 from conftest import make_state
 from odecf.data import synthetic_split, train_pairs
@@ -399,6 +396,19 @@ class TestFit:
         assert history[-1].loss < history[0].loss
 
 
+def damage_checkpoint(path, damage):
+    """Replace a saved ``checkpoint.emb`` with a file ``load_checkpoint`` must refuse."""
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "pickled":
+        with open(path, "wb") as fh:
+            np.save(fh, np.array([{"e0": 1}], dtype=object))
+    else:  # the raw-float layout older checkpoints used
+        path.write_bytes(b"EMBF64LE" + np.array([2, 2], "<i8").tobytes() + bytes(32))
+
+
 class TestArtifacts:
     def test_training_log_format(self, tmp_path, toy_ds):
         state = make_state(toy_ds, dims=4, allow_isolated_items=True)
@@ -416,24 +426,55 @@ class TestArtifacts:
             float(cells[1])
 
     def test_checkpoint_round_trip(self, tmp_path, small_ds):
-        state = make_state(small_ds, use_weights=True, n_hops=2)
-        state.hop_weights[:] = [1.25, 0.75]
-        save_checkpoint(tmp_path, state, epoch=17, metric=0.5, config_hash="abc123")
-        e0, weights, meta = load_checkpoint(tmp_path)
-        assert np.array_equal(e0, state.e0)
-        assert np.array_equal(weights, [1.25, 0.75])
-        assert meta["epoch"] == "17" and meta["config_hash"] == "abc123"
+        for use_weights in (True, False):
+            outdir = tmp_path / f"weights={use_weights}"
+            state = make_state(small_ds, use_weights=use_weights, n_hops=2)
+            if use_weights:
+                state.hop_weights[:] = [1.25, 0.1 + 0.2]  # 0.30000000000000004 must survive
+            save_checkpoint(outdir, state, epoch=17, metric=0.5, config_hash="abc123")
+            e0, weights, meta = load_checkpoint(outdir)
+            assert e0.dtype == np.float64 and np.array_equal(e0, state.e0)
+            assert meta["epoch"] == "17" and meta["config_hash"] == "abc123"
+            if use_weights:
+                assert weights.tobytes() == state.hop_weights.tobytes()
+            else:
+                assert weights is None and "hop_weights" not in meta
+            assert sorted(p.name for p in outdir.iterdir()) == [
+                "checkpoint.emb", "checkpoint_meta.txt"]
+
+    def test_checkpoint_is_a_deterministic_npy_file(self, tmp_path, small_ds):
+        state = make_state(small_ds)
+        for name in ("a", "b"):
+            save_checkpoint(tmp_path / name, state, epoch=1, metric=0.5, config_hash="abc123")
+        assert np.array_equal(np.load(tmp_path / "a" / "checkpoint.emb"), state.e0)
+        assert ((tmp_path / "a" / "checkpoint.emb").read_bytes()
+                == (tmp_path / "b" / "checkpoint.emb").read_bytes())
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "pickled", "text"])
+    def test_unreadable_checkpoint_names_the_file(self, tmp_path, small_ds, damage):
+        save_checkpoint(tmp_path, make_state(small_ds), epoch=1, metric=0.5, config_hash="abc")
+        damage_checkpoint(tmp_path / "checkpoint.emb", damage)
+        with pytest.raises(TrainError, match="checkpoint.emb"):
+            load_checkpoint(tmp_path)
+
+    def test_unreadable_hop_weights_name_the_checkpoint(self, tmp_path, small_ds):
+        save_checkpoint(tmp_path, make_state(small_ds, use_weights=True, n_hops=2),
+                        epoch=1, metric=0.5, config_hash="abc")
+        meta = tmp_path / "checkpoint_meta.txt"
+        meta.write_text(meta.read_text().replace("hop_weights=1.0,", "hop_weights=1.0,x"))
+        with pytest.raises(TrainError, match="checkpoint.emb"):
+            load_checkpoint(tmp_path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, small_ds, monkeypatch):
         state = make_state(small_ds)
         save_checkpoint(tmp_path, state, epoch=1, metric=0.5, config_hash="abc123")
         before = (tmp_path / "checkpoint.emb").read_bytes()
 
-        def fail_partway(path, emb, binary=False):
-            Path(path).write_bytes(b"partial")
+        def fail_partway(fh, arr):
+            fh.write(b"partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(odecf.train, "save_embeddings", fail_partway)
+        monkeypatch.setattr(np, "save", fail_partway)
         state.e0 += 1.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(tmp_path, state, epoch=2, metric=0.6, config_hash="abc123")
