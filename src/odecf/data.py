@@ -272,17 +272,21 @@ def write_split(ds: SplitDataset, outdir) -> None:
 
 def read_split(indir) -> SplitDataset:
     """Read back a directory produced by :func:`write_split`; :class:`DataError`
-    unless every line parses, every id is within the maps and val.txt/test.txt
-    name each user once."""
+    unless every line parses, each map gives its n keys the ids 0..n-1 once
+    each, every id is within the maps and val.txt/test.txt name each user once."""
     indir = Path(indir)
 
     def read_map(name):
         with open(indir / name, "r", encoding="utf-8") as fh:
-            pairs = (line.rstrip("\n").split("\t") for line in fh if line.strip())
-            try:
-                return {key: int(idx) for key, idx in pairs}
-            except ValueError as exc:  # no tab, more than one, or a non-integer id
-                raise DataError(f"{indir / name} needs key<TAB>integer id lines: {exc}") from exc
+            pairs = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        try:
+            index = {key: int(idx) for key, idx in pairs}
+        except ValueError as exc:  # no tab, more than one, or a non-integer id
+            raise DataError(f"{indir / name} needs key<TAB>integer id lines: {exc}") from exc
+        if sorted(index.values()) != list(range(len(pairs))):  # also catches a repeated key
+            raise DataError(f"{indir / name} must give each of its {len(pairs)} keys "
+                            f"its own id in 0..{len(pairs) - 1}")
+        return index
 
     def read_pairs(name):  # the (user, item) columns
         try:

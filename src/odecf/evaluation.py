@@ -2,13 +2,22 @@
 
 The held-out item is ranked against every item the user has not trained on
 (full ranking, no sampled candidates). Ties are ordered deterministically:
-score descending, then item id ascending. Scores are computed in user blocks
-of bounded size, and one routine ranks every row of a block at once.
+score descending, then item id ascending, so a target's rank is 1 + the items
+scoring strictly above it + the tied items with a smaller id.
+
+``rank_all`` scores users in blocks of at most ``_BLOCK_BYTES`` (8 MiB; see
+there why no smaller). Each call allocates one score buffer and one bool mask
+of that block's shape and reuses both for every block: the GEMM writes into
+the buffer and excluded items are set to NaN there. One routine, which
+``rank_heldout`` also uses, ranks every row with two compare passes into the
+mask: one counts the strict winners per row, the other finds the ties, of
+which only those left of the target's column count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +28,7 @@ class EvalError(ValueError):
     """Raised for ill-posed ranking or aggregation requests."""
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     user: int
     rank: int  # 1-based position among candidate items
 
@@ -57,13 +65,22 @@ def _check_embeddings(fe, ds: SplitDataset) -> np.ndarray:
     return fe
 
 
-def _ranks(block: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _ranks(block: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """1-based rank of column ``targets[r]`` within each row r of ``block``:
-    1 + the columns scoring above it + the tied columns with a smaller id."""
-    target_scores = block[np.arange(block.shape[0]), targets][:, None]
-    before = np.arange(block.shape[1]) < targets[:, None]
-    ahead = (block > target_scores) | ((block == target_scores) & before)
-    return 1 + np.count_nonzero(ahead, axis=1)
+    1 + the columns scoring above it + the tied columns with a smaller id.
+    Excluded columns hold NaN, which is neither above nor equal to any score,
+    so they never compete, not even with a target scoring -inf. ``mask`` is
+    bool scratch of ``block``'s shape; both are C-contiguous."""
+    height, width = block.shape
+    target_scores = block[np.arange(height), targets][:, None]
+    np.greater(block, target_scores, out=mask)
+    # a uint8 sum into int32 takes about half the time of count_nonzero(axis=1)
+    ranks = 1 + np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+    np.equal(block, target_scores, out=mask)
+    ties = np.flatnonzero(mask)  # ascending: row r's ties below its target lie in [r*w, r*w + target)
+    starts = np.arange(height) * width
+    ranks += np.searchsorted(ties, starts + targets) - np.searchsorted(ties, starts)
+    return ranks
 
 
 def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
@@ -85,39 +102,44 @@ def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
     if (excluded == target).any():
         raise EvalError(f"target item {target} is excluded for user {user}")
     scores = fe[ds.n_users :] @ fe[user]
-    scores[excluded] = -np.inf
-    return RankResult(user=user, rank=int(_ranks(scores[None], np.array([target]))[0]))
+    scores[excluded] = np.nan
+    rank = _ranks(scores[None], np.array([target]), np.empty((1, ds.n_items), dtype=bool))
+    return RankResult(user, int(rank[0]))
 
 
-# Budget of one user-by-item score block in rank_all. A smaller freed block lowers
-# glibc's heap-trim threshold: at 4 MiB, later training steps page-faulted 4-12x more.
+# Budget of the one user-by-item score buffer of a rank_all call (its bool mask
+# adds an eighth). The buffer is freed when the call returns; a smaller freed
+# buffer lowers glibc's heap-trim threshold, and at 4 MiB later training steps
+# page-faulted 4-12x more, so the budget stays at 8 MiB.
 _BLOCK_BYTES = 8 << 20
 
 
 def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str,
              exclude_validation_at_test: bool = True) -> list[RankResult]:
     """Held-out ranks for every user, scored in user blocks of at most
-    ``_BLOCK_BYTES`` (one user at least)."""
+    ``_BLOCK_BYTES`` (one user at least) in one reused buffer."""
     if mode not in ("validation", "test"):
         raise EvalError(f"mode must be 'validation' or 'test', got {mode!r}")
     fe = _check_embeddings(fe, ds)
     targets = ds.validation if mode == "validation" else ds.test
     indptr = ds.train_indptr
     item_rows = fe[ds.n_users :]
-    height = max(1, _BLOCK_BYTES // (8 * ds.n_items))
+    height = max(1, min(ds.n_users, _BLOCK_BYTES // (8 * ds.n_items)))
+    scores = np.empty((height, ds.n_items))
+    mask = np.empty((height, ds.n_items), dtype=bool)
     ranks = np.empty(ds.n_users, dtype=np.int64)
     for lo in range(0, ds.n_users, height):
         hi = min(lo + height, ds.n_users)
         rows = np.arange(hi - lo)
+        block = scores[: hi - lo]
         with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
-            block = fe[lo:hi] @ item_rows.T
+            np.matmul(fe[lo:hi], item_rows.T, out=block)
         block[np.repeat(rows, np.diff(indptr[lo : hi + 1])),
-              ds.train_items[indptr[lo] : indptr[hi]]] = -np.inf
+              ds.train_items[indptr[lo] : indptr[hi]]] = np.nan
         if mode == "test" and exclude_validation_at_test:
-            block[rows, ds.validation[lo:hi]] = -np.inf
-        ranks[lo:hi] = _ranks(block, targets[lo:hi])
-        del block  # freed before the next block is scored: one alive at a time
-    return [RankResult(user=u, rank=r) for u, r in enumerate(ranks.tolist())]
+            block[rows, ds.validation[lo:hi]] = np.nan
+        ranks[lo:hi] = _ranks(block, targets[lo:hi], mask[: hi - lo])
+    return list(map(RankResult, range(ds.n_users), ranks.tolist()))
 
 
 def recall_at_n(results, n: int) -> float:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+import odecf.evaluation
 from odecf.data import synthetic_split
 from odecf.evaluation import rank_all
 from odecf.graph import build_adjacency
@@ -42,6 +43,21 @@ def test_adjacency_and_ranks_keep_their_shape():
     ranks = [r.rank for r in rank_all(fe, ds, "test")]
     assert len(ranks) == ds.n_users
     assert all(type(r) is int for r in ranks)
+
+
+def test_evaluate_ranks_through_rank_all_once(monkeypatch):
+    """``eval.rank_s`` and ``eval.users_per_s`` time ``rank_all`` inside ``evaluate``."""
+    ds = synthetic_split(n_users=6, n_items=8, seed=1)
+    fe = np.random.default_rng(2).normal(size=(ds.n_users + ds.n_items, 3))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank_all(*args, **kwargs)
+
+    monkeypatch.setattr(odecf.evaluation, "rank_all", counted)
+    odecf.evaluation.evaluate(fe, ds, "validation", [1, 5])
+    assert len(calls) == 1
 
 
 def test_state_calls_keep_their_form():

@@ -263,6 +263,9 @@ class TestSplitIO:
         ("user_map.txt", lambda lines: lines + ["u9"], r"user_map\.txt"),
         ("item_map.txt", lambda lines: lines[:-1] + ["i7\tseven"], r"item_map\.txt"),
         ("item_map.txt", lambda lines: lines[:-1] + ["i7\t7\tx"], r"item_map\.txt"),
+        pytest.param("item_map.txt",
+                     lambda lines: lines[:1] + [lines[1].split("\t")[0] + "\t0"] + lines[2:],
+                     r"item_map\.txt", id="item_map-shared-id"),
     ])
     def test_bad_files_rejected(self, tmp_path, name, edit, match):
         write_split(synthetic_split(n_users=5, n_items=8, seed=2), tmp_path)

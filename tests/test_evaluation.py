@@ -199,16 +199,49 @@ class TestEvaluate:
             excl = set(ds.train[r.user]) | ({ds.validation[r.user]} if mode == "test" else set())
             assert r.rank == rank_heldout(fe, ds, r.user, targets[r.user], excl).rank
 
-    def test_score_blocks_stay_within_budget(self):
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_default_blocks_match_lexsort_oracle(self, mode):
+        # the default budget gives blocks of 209, 209 and 82 users; integer
+        # embeddings give exact products, tied on both sides of most targets
+        ds = synthetic_split(n_users=500, n_items=5000, seed=16)
+        height = odecf.evaluation._BLOCK_BYTES // (8 * ds.n_items)
+        assert ds.n_users > 2 * height and ds.n_users % height
+        n = ds.n_users
+        fe = np.random.default_rng(17).integers(-2, 3, size=(n + ds.n_items, 3)).astype(np.float64)
+        fe[0] = 0.0  # every candidate ties with the target
+        fe[1] = [1e308, 0.0, 0.0]  # items with a first coordinate of +-2 score +-inf
+        fe[n + ds.validation[1], 0] = -2.0  # -inf, as some candidates and excluded items score
+        fe[n + ds.test[1], 0] = 2.0
+        with np.errstate(over="ignore"):
+            scores = fe[:n] @ fe[n:].T
+        assert np.isinf(scores[1]).any() and not np.isnan(scores).any()
+        excluded = np.zeros(scores.shape, dtype=bool)
+        excluded[np.repeat(np.arange(n), np.diff(ds.train_indptr)), ds.train_items] = True
+        if mode == "test":
+            excluded[np.arange(n), ds.validation] = True
+        ids = np.broadcast_to(np.arange(ds.n_items), scores.shape)
+        order = np.lexsort((ids, -scores, excluded), axis=-1)  # excluded last
+        targets = ds.validation if mode == "validation" else ds.test
+        want = 1 + np.argmax(order == targets[:, None], axis=1)
+        assert [r.rank for r in rank_all(fe, ds, mode)] == want.tolist()
+
+    @staticmethod
+    def rank_all_peak_bytes():
         ds = synthetic_split(n_users=1500, n_items=5000, seed=14)
         fe = np.random.default_rng(15).normal(size=(ds.n_users + ds.n_items, 8))
         tracemalloc.start()
         try:
             rank_all(fe, ds, "test")
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * odecf.evaluation._BLOCK_BYTES
+
+    def test_score_blocks_stay_within_budget(self):
+        assert self.rank_all_peak_bytes() < 4 * odecf.evaluation._BLOCK_BYTES
+
+    def test_one_score_block_alive_at_a_time(self):
+        # the score buffer is the budget and its mask an eighth of it
+        assert self.rank_all_peak_bytes() < 1.5 * odecf.evaluation._BLOCK_BYTES
 
     def test_scale_invariance_of_ranks(self):
         ds = synthetic_split(n_users=10, n_items=12, seed=9)
