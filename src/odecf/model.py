@@ -198,7 +198,7 @@ def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int) 
     cur = e0
     for _ in range(n_layers):
         cur = spmm(adjacency, cur)
-        acc = acc + weight * cur
+        acc += weight * cur
     return _check_finite(acc)
 
 

@@ -4,12 +4,12 @@ The backward pass is discretize-then-optimize. The solver map is a symmetric
 polynomial p(A) in the adjacency, so the gradient wrt e0 is p(A) applied to
 the cotangent of the final embeddings, and the hop weights need one scalar
 more; gradients agree with central finite differences to numerical precision.
-One score head gathers the batch's rows once and gives both the loss and
-their cotangent, which reaches the node rows through one sparse incidence
-product. Negatives are sampled in bulk by rejection against the dataset's
-sorted train keys ``user * n_items + item``, searched by bisection. A
-checkpoint is e0 in numpy's ``.npy`` format plus a key=value meta file that
-also holds the hop weights when they train.
+The batch loss's gradient wrt the final embeddings is one sparse N x N
+product with them, and its L2 term's is e0 scaled row-wise by use counts.
+Negatives are sampled in bulk by rejection against the dataset's sorted train
+keys ``user * n_items + item``, searched by bisection. A checkpoint is e0 in
+numpy's ``.npy`` format plus a key=value meta file that also holds the hop
+weights when they train.
 """
 
 from __future__ import annotations
@@ -153,22 +153,19 @@ def bpr_loss(pos_scores, neg_scores, params_l2: float, l2_lambda: float) -> floa
 def _score_head(batch: TripletBatch, state, fe, l2_lambda: float):
     """Regularized BPR loss of ``batch`` on the final embeddings ``fe``.
 
-    Gathers the node rows ``rows = [u; n_users+p; n_users+q]`` of ``fe`` and
-    ``e0`` once and returns ``(loss, rows, d_fe, d_l2)``: the cotangents wrt
-    those rows of ``fe`` and, for the L2 term (None when ``l2_lambda`` is 0),
-    of ``e0``. A repeated row appears once per use.
+    Returns ``(loss, coef, counts)``: ``coef[j]`` is the loss's derivative wrt
+    triplet j's margin, and ``counts`` how often the batch uses each node row
+    (users, then ``n_users + item``), repeats counted as the L2 term counts them.
     """
-    n_users = state.adjacency.n_users
-    size = len(batch)
+    n_users, size = state.adjacency.n_users, len(batch)
+    fu = fe.take(batch.users, axis=0)
+    pos = np.einsum("ij,ij->i", fu, fe.take(n_users + batch.pos_items, axis=0))
+    neg = np.einsum("ij,ij->i", fu, fe.take(n_users + batch.neg_items, axis=0))
     rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
-    fu, fp, fq = np.split(fe[rows], 3)
-    pos, neg = np.einsum("ij,ij->i", fu, fp), np.einsum("ij,ij->i", fu, fq)
-    e = state.e0[rows]
-    l2 = sum(float(np.sum(part ** 2)) for part in np.split(e, 3))  # repeats counted
+    counts = np.bincount(rows, minlength=fe.shape[0])
+    l2 = float(counts @ np.einsum("ij,ij->i", state.e0, state.e0))
     loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
-    coef = -expit(neg - pos) / size  # d mean-softplus(-margin) / d margin
-    d_fe = np.tile(coef, 3)[:, None] * np.concatenate([fp - fq, fu, -fu])
-    return loss, rows, d_fe, (2.0 * l2_lambda / size) * e if l2_lambda else None
+    return loss, -expit(neg - pos) / size, counts  # d mean-softplus(-margin) / d margin
 
 
 def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
@@ -180,18 +177,21 @@ def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
 def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float):
     """Regularized batch loss and its exact gradient wrt e0 (and hop weights).
 
-    ``fe`` and ``ctx`` are what ``model_forward`` returned. The score head is
-    differentiated by hand; ``model_backward`` carries its cotangent back to
-    e0. Returns ``(loss, GradientSet)``.
+    ``fe`` and ``ctx`` are what ``model_forward`` returned. With ``C`` holding
+    ``+coef[j]`` at (user j, positive j) and ``-coef[j]`` at (user j, negative
+    j), the score loss's gradient wrt ``fe`` is ``(C + C^T) @ fe``, which
+    ``model_backward`` carries back to e0; the L2 term's gradient is ``e0``
+    scaled row-wise by the use counts. Returns ``(loss, GradientSet)``.
     """
-    loss, rows, d_fe, d_l2 = _score_head(batch, state, fe, l2_lambda)
-    # pick[rows[j], j] = 1, so pick @ X adds row j of X into node rows[j], in
-    # ascending j within each node
-    pick = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                         shape=(fe.shape[0], rows.size))
-    d_e0, d_w = model_backward(state, ctx, pick @ d_fe)
-    if d_l2 is not None:
-        d_e0 += pick @ d_l2
+    loss, coef, counts = _score_head(batch, state, fe, l2_lambda)
+    n_users, n = state.adjacency.n_users, fe.shape[0]
+    u, p, q = batch.users, n_users + batch.pos_items, n_users + batch.neg_items
+    sym = sp.csr_matrix((np.concatenate([coef, -coef, coef, -coef]),  # C + C^T
+                         (np.concatenate([u, u, p, q]), np.concatenate([p, q, u, u]))),
+                        shape=(n, n))  # repeated entries are summed
+    d_e0, d_w = model_backward(state, ctx, sym @ fe)
+    if l2_lambda:
+        d_e0 += ((2.0 * l2_lambda / len(batch)) * counts)[:, None] * state.e0
     return loss, GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)
 
 

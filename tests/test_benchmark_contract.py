@@ -6,6 +6,7 @@ built on it silently disappears, so a rename must fail here instead.
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,16 @@ import scipy.sparse as sp
 
 import odecf.evaluation
 from odecf.data import synthetic_split
-from odecf.evaluation import rank_all
+from odecf.evaluation import evaluate, rank_all
 from odecf.graph import build_adjacency
-from odecf.model import LightGCNState, ModelState, SolverConfig, init_embeddings
-from odecf.train import loss_and_grads, sample_triplets
+from odecf.model import (
+    LightGCNState,
+    ModelState,
+    SolverConfig,
+    final_embeddings,
+    init_embeddings,
+)
+from odecf.train import TrainConfig, fit, loss_and_grads, sample_triplets
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -79,3 +86,20 @@ def test_state_calls_keep_their_form():
         assert (grads.grad_hop_weights is not None) == has_weights
         if has_weights:
             assert grads.grad_hop_weights.shape == weights.shape
+
+
+def test_training_and_evaluation_warn_nothing():
+    """A warning prints to stderr, which the benchmark's output merges ahead of
+    its closing result line, so one epoch and the test evaluation must raise none."""
+    ds = synthetic_split(n_users=40, n_items=60, seed=6)
+    adj = build_adjacency(ds)
+    e0 = init_embeddings(ds.n_users + ds.n_items, 8, 0.1, 7)
+    solver = SolverConfig(method="rk4", t1=0.9, steps=1, n_hops=2, use_weights=True)
+    cfg = TrainConfig(learning_rate=0.05, l2_lambda=1e-4, batch_size=32, max_epochs=1, seed=8)
+    for state in (LightGCNState.create(e0.copy(), adj, 2), ModelState.create(e0.copy(), adj, solver)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history, best = fit(ds, state, cfg, lambda s: evaluate(final_embeddings(s), ds,
+                                                                   "validation", [20]))
+            evaluate(final_embeddings(best), ds, "test", [20])
+        assert len(history) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -8,13 +10,20 @@ from conftest import make_state
 from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
-from odecf.model import LightGCNState, final_embeddings, init_embeddings
+from odecf.model import (
+    LightGCNState,
+    final_embeddings,
+    init_embeddings,
+    model_backward,
+    model_forward,
+)
 from odecf.train import (
     OptimizerState,
     TrainConfig,
     TrainError,
     TripletBatch,
     adam_step,
+    backward,
     batch_loss,
     bpr_loss,
     epoch_triplets,
@@ -34,6 +43,16 @@ def make_batch(users, pos, neg):
     return TripletBatch(np.asarray(users, dtype=np.int64),
                         np.asarray(pos, dtype=np.int64),
                         np.asarray(neg, dtype=np.int64))
+
+
+def model_state(ds, model, dims=4):
+    """``euler``, ``rk4``, their ``-weighted`` variants (2 steps, 2 hops) or a 3-layer ``lightgcn``."""
+    if model == "lightgcn":
+        adj = build_adjacency(ds)
+        return LightGCNState.create(init_embeddings(adj.n_nodes, dims, 0.5, 1), adj, 3)
+    method, _, weighted = model.partition("-")
+    return make_state(ds, method=method, steps=2, n_hops=2, use_weights=bool(weighted),
+                      dims=dims)
 
 
 class TestSampling:
@@ -166,13 +185,7 @@ class TestBprLoss:
     @pytest.mark.parametrize("model", ["euler", "rk4-weighted", "lightgcn"])
     @pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
     def test_trained_loss_is_batch_loss(self, small_ds, model, l2_lambda):
-        if model == "lightgcn":
-            adj = build_adjacency(small_ds)
-            state = LightGCNState.create(init_embeddings(adj.n_nodes, 4, 0.5, 1), adj, 3)
-        else:
-            method, _, weighted = model.partition("-")
-            state = make_state(small_ds, method=method, steps=2, n_hops=2,
-                               use_weights=bool(weighted))
+        state = model_state(small_ds, model)
         batch = make_batch([0, 1, 0, 5], [2, 3, 2, 7], [3, 2, 5, 2])
         loss, _ = loss_and_grads(state, batch, l2_lambda)
         assert loss == batch_loss(state, batch, l2_lambda)
@@ -195,7 +208,63 @@ def mf_bpr_gradient(e0, n_users, batch, l2_lambda):
     return grad
 
 
+def textbook_backward(state, batch, l2_lambda):
+    """Per-triplet cotangents scattered onto their rows by ``np.add.at``, then
+    carried back by ``model_backward``; the L2 term is added row by row."""
+    fe, ctx = model_forward(state)
+    n_users, size = state.adjacency.n_users, len(batch)
+    u, p, q = batch.users, n_users + batch.pos_items, n_users + batch.neg_items
+    margin = np.einsum("ij,ij->i", fe[u], fe[p] - fe[q])
+    coef = (-expit(-margin) / size)[:, None]
+    d_fe = np.zeros_like(fe)
+    np.add.at(d_fe, u, coef * (fe[p] - fe[q]))
+    np.add.at(d_fe, p, coef * fe[u])
+    np.add.at(d_fe, q, -coef * fe[u])
+    d_e0, d_w = model_backward(state, ctx, d_fe)
+    for rows in (u, p, q):
+        np.add.at(d_e0, rows, (2.0 * l2_lambda / size) * state.e0[rows])
+    return d_e0, d_w
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 class TestBackward:
+    @pytest.mark.parametrize("model", ["euler", "rk4-weighted", "lightgcn"])
+    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
+    def test_heavy_repeats_match_textbook_scatter(self, small_ds, model, l2_lambda):
+        # user 0 is in 14 of 20 triplets; item 2 is the positive of 6 and the
+        # negative of 6, once against itself
+        state = model_state(small_ds, model)
+        batch = make_batch([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 1],
+                           [2, 2, 2, 3, 4, 5, 6, 7, 1, 2, 3, 2, 0, 6, 2, 4, 5, 6, 7, 0],
+                           [3, 4, 5, 2, 2, 2, 2, 1, 2, 1, 0, 2, 7, 3, 1, 1, 1, 1, 1, 6])
+        _, grads = loss_and_grads(state, batch, l2_lambda)
+        want_e0, want_w = textbook_backward(state, batch, l2_lambda)
+        assert relative_error(grads.grad_e0, want_e0) < 1e-12
+        assert (grads.grad_hop_weights is None) == (want_w is None)
+        if want_w is not None:
+            assert relative_error(grads.grad_hop_weights, want_w) < 1e-12
+
+    @pytest.mark.parametrize("model", ["euler", "lightgcn"])
+    def test_backward_peak_stays_under_five_embedding_tables(self, model):
+        # 3B x d is three times N x d here, so one 3B x d gather or cotangent
+        # alive next to the reverse pass's own N x d arrays breaks the bound
+        ds = synthetic_split(n_users=300, n_items=700, seed=3)
+        state = model_state(ds, model, dims=32)
+        batch = sample_triplets(ds, 1024, np.random.default_rng(2))
+        assert 3 * len(batch) > state.e0.shape[0]
+        fe, ctx = model_forward(state)
+        backward(batch, state, fe, ctx, 1e-4)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            backward(batch, state, fe, ctx, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * state.e0.nbytes
+
     def test_zero_length_integration_matches_mf_oracle(self, small_ds):
         state = make_state(small_ds, t1=1e-30, steps=1, n_hops=1, seed=3)
         batch = sample_triplets(small_ds, 16, np.random.default_rng(5))
@@ -223,13 +292,7 @@ class TestBackward:
     @pytest.mark.parametrize("model", ["euler", "rk4", "euler-weighted", "rk4-weighted",
                                        "lightgcn"])
     def test_reverse_pass_costs_as_many_spmm_as_forward(self, small_ds, monkeypatch, model):
-        if model == "lightgcn":
-            adj = build_adjacency(small_ds)
-            state = LightGCNState.create(init_embeddings(adj.n_nodes, 4, 0.5, 1), adj, 3)
-        else:
-            method, _, weighted = model.partition("-")
-            state = make_state(small_ds, method=method, steps=2, n_hops=2,
-                               use_weights=bool(weighted))
+        state = model_state(small_ds, model)
         calls = []
         real = odecf.model.spmm
         monkeypatch.setattr(odecf.model, "spmm", lambda a, x: calls.append(1) or real(a, x))
