@@ -18,7 +18,6 @@ from .data import (
     k_core_filter,
     leave_one_out_split,
     parse_interactions,
-    read_split,
     synthetic_split,
     write_split,
 )
@@ -38,12 +37,9 @@ from .model import (
     ModelState,
     SolverConfig,
     SolverError,
-    derivative,
     final_embeddings,
     init_embeddings,
-    integrate,
     lightgcn_forward,
-    predict_scores,
 )
 from .train import (
     GradientSet,

@@ -26,7 +26,7 @@ from .data import (
     parse_interactions,
     write_split,
 )
-from .evaluation import evaluate, write_metrics_csv
+from .evaluation import MetricsReport, evaluate, write_metrics_csv
 from .graph import build_adjacency
 from .model import (
     LightGCNState,
@@ -258,9 +258,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     state = build_state(cfg, ds)
     n_values = cfg.eval_n_list()
     hook_ns = sorted(set(n_values) | {20})
+    reports = []  # one per recorded epoch: fit appends a record for each report returned
 
     def validation_hook(current):
-        return evaluate(final_embeddings(current), ds, "validation", hook_ns)
+        reports.append(evaluate(final_embeddings(current), ds, "validation", hook_ns))
+        return reports[-1]
 
     history, best = fit(ds, state, cfg.train_config(), validation_hook)
     if not history and cfg.max_epochs >= 1:
@@ -268,17 +270,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     write_training_log(outdir / "train_log.csv", history, log_timing=cfg.log_timing)
 
     fe = final_embeddings(best)
-    val_report = evaluate(fe, ds, "validation", n_values)
+    if history:
+        at = max(range(len(history)), key=lambda k: history[k].ndcg20)  # fit's best state
+        best_epoch, best_metric = history[at].epoch, history[at].ndcg20
+        seen = reports[at]  # the best state's validation ranks, already aggregated
+        val_report = MetricsReport(n_values, [seen.recall_at(n) for n in n_values],
+                                   [seen.ndcg_at(n) for n in n_values], seen.users_evaluated)
+    else:
+        best_epoch, best_metric = 0, float("nan")
+        val_report = evaluate(fe, ds, "validation", n_values)
     test_report = evaluate(fe, ds, "test", n_values,
                            exclude_validation_at_test=cfg.exclude_validation_at_test)
     write_metrics_csv(outdir / "metrics.csv",
                       [("validation", val_report), ("test", test_report)])
 
-    if history:
-        best_epoch = max(history, key=lambda r: r.ndcg20).epoch
-        best_metric = max(r.ndcg20 for r in history)
-    else:
-        best_epoch, best_metric = 0, float("nan")
     checkpoint_paths = save_checkpoint(outdir, best, best_epoch, best_metric, config_hash(cfg))
 
     artifacts = [outdir / "config.txt", outdir / "train_log.csv", outdir / "metrics.csv"]
@@ -305,10 +310,6 @@ def _sweep_values(cfg: ExperimentConfig) -> list:
     return [_coerce(cfg.sweep_param, x) for x in raw]
 
 
-def _run_config_worker(cfg: ExperimentConfig) -> str:
-    return str(run_experiment(cfg))
-
-
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> Path:
     """One run per swept value in its own subdirectory, then a consolidated table."""
     values = _sweep_values(cfg)
@@ -322,7 +323,7 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> Path:
                                 **{cfg.sweep_param: value}))
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(_run_config_worker, run_cfgs))
+            list(pool.map(run_experiment, run_cfgs))
     else:
         for run_cfg in run_cfgs:
             run_experiment(run_cfg)

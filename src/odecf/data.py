@@ -270,58 +270,6 @@ def write_split(ds: SplitDataset, outdir) -> None:
         (outdir / name).write_text(text, encoding="utf-8")
 
 
-def read_split(indir) -> SplitDataset:
-    """Read back a directory produced by :func:`write_split`; :class:`DataError`
-    unless every line parses, each map gives its n keys the ids 0..n-1 once
-    each, every id is within the maps and val.txt/test.txt name each user once."""
-    indir = Path(indir)
-
-    def read_map(name):
-        with open(indir / name, "r", encoding="utf-8") as fh:
-            pairs = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-        try:
-            index = {key: int(idx) for key, idx in pairs}
-        except ValueError as exc:  # no tab, more than one, or a non-integer id
-            raise DataError(f"{indir / name} needs key<TAB>integer id lines: {exc}") from exc
-        if sorted(index.values()) != list(range(len(pairs))):  # also catches a repeated key
-            raise DataError(f"{indir / name} must give each of its {len(pairs)} keys "
-                            f"its own id in 0..{len(pairs) - 1}")
-        return index
-
-    def read_pairs(name):  # the (user, item) columns
-        try:
-            users, items = np.loadtxt(indir / name, dtype=np.int64, comments=None).reshape(-1, 2).T
-        except ValueError as exc:
-            raise DataError(f"{indir / name} needs lines of two integer ids: {exc}") from exc
-        if not ((0 <= users) & (users < n_users) & (0 <= items) & (items < n_items)).all():
-            raise DataError(f"{indir / name} holds ids outside {n_users} users x {n_items} items")
-        return users, items
-
-    try:
-        user_index, item_index = read_map("user_map.txt"), read_map("item_map.txt")
-        n_users, n_items = len(user_index), len(item_index)
-        indptr, items = _group_by_user(*read_pairs("train.txt"), n_users)
-        validation, test = np.zeros((2, n_users), dtype=np.int64)
-        for column, name in ((validation, "val.txt"), (test, "test.txt")):
-            users, targets = read_pairs(name)
-            if (np.bincount(users, minlength=n_users) != 1).any():
-                raise DataError(f"{indir / name} must name each of the {n_users} users once")
-            column[users] = targets
-    except OSError as exc:
-        raise DataError(f"cannot read split directory {indir}: {exc}") from exc
-
-    return SplitDataset(
-        n_users=n_users,
-        n_items=n_items,
-        train_indptr=indptr,
-        train_items=items,
-        validation=validation,
-        test=test,
-        user_index=user_index,
-        item_index=item_index,
-    )
-
-
 def synthetic_split(n_users: int, n_items: int, seed: int, min_train: int = 3,
                     max_train: int | None = None) -> SplitDataset:
     """Random SplitDataset for demos, tests and gradient checks.

@@ -38,15 +38,8 @@ class SparseAdjacency:
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
     def to_scipy(self) -> sp.csr_matrix:
         return self.matrix
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def build_adjacency(ds: SplitDataset, allow_isolated_items: bool = False) -> SparseAdjacency:

@@ -1,13 +1,13 @@
-"""Embedding dynamics: ODE derivative, fixed-grid solvers, and the layer-combination baseline.
+"""Embedding dynamics: one fixed-grid Euler/RK4 propagation routine and the layer-combination baseline.
 
 The trainable state is the initial embedding matrix e0 (users stacked above
 items) plus optional per-hop scalar weights. The derivative of the dynamics is
 g(E) = c A^K E - E: K hops of the normalized adjacency A, scaled by the product
-c of the hop weights. Euler, RK4 and the baseline, the uniform mean of the
-layers A^l e0 for l = 0..K, all map e0 to the final embeddings by a symmetric
-polynomial p(A), so the exact reverse pass is p(A) applied to the cotangent,
-run by the same routine as the forward pass. The hop weights need one scalar
-more, dL/dc, and no tape.
+c of the hop weights; it lives only inside the propagation routine. Euler, RK4
+and the baseline, the uniform mean of the layers A^l e0 for l = 0..K, all map
+e0 to the final embeddings by a symmetric polynomial p(A), so the exact reverse
+pass is p(A) applied to the cotangent, run by the same routine as the forward
+pass. The hop weights need one scalar more, dL/dc, and no tape.
 """
 
 from __future__ import annotations
@@ -129,14 +129,6 @@ def _gain(state: ModelState):
     return float(np.prod(state.hop_weights)) if state.solver.use_weights else None
 
 
-def derivative(emb: np.ndarray, state: ModelState) -> np.ndarray:
-    """g(E) = c A^K E - E, with c the product of the hop weights (1 when they are off)."""
-    emb = _check_rows(emb, state.adjacency)
-    y = _hops(emb, state.adjacency, state.solver.n_hops)
-    c = _gain(state)
-    return (y if c is None else c * y) - emb
-
-
 def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None):
     """Step any N x d matrix ``e`` through the solver grid; returns (result, aux).
 
@@ -178,11 +170,6 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
                 e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(e)
     return e, aux
-
-
-def integrate(state: ModelState) -> np.ndarray:
-    """Integrate the dynamics from e0 over [0, t1]; returns the final embeddings."""
-    return _integrate(state, state.e0)[0]
 
 
 def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int) -> np.ndarray:
@@ -235,19 +222,6 @@ def model_backward(state, ctx, d_fe):
 
 def final_embeddings(state) -> np.ndarray:
     return model_forward(state)[0]
-
-
-def predict_scores(e_final: np.ndarray, n_users: int, user: int, items) -> np.ndarray:
-    """Inner-product scores between one user row and the given item rows."""
-    e_final = np.asarray(e_final)
-    items = np.asarray(list(items) if isinstance(items, (set, frozenset)) else items,
-                       dtype=np.int64)
-    n_items = e_final.shape[0] - n_users
-    if not 0 <= user < n_users:
-        raise ModelError(f"user id {user} out of range [0, {n_users})")
-    if items.size and (items.min() < 0 or items.max() >= n_items):
-        raise ModelError(f"item ids out of range [0, {n_items})")
-    return e_final[n_users + items] @ e_final[user]
 
 
 def init_embeddings(n_rows: int, dims: int, std: float, seed: int) -> np.ndarray:

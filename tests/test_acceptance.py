@@ -23,7 +23,7 @@ from odecf.data import (
 )
 from odecf.evaluation import evaluate, ndcg_at_n, rank_heldout, recall_at_n
 from odecf.graph import build_adjacency
-from odecf.model import ModelState, SolverConfig, final_embeddings, init_embeddings, integrate
+from odecf.model import ModelState, SolverConfig, final_embeddings, init_embeddings
 from odecf.train import TrainConfig, finite_difference_check, fit, sample_triplets
 
 from test_data import make_log
@@ -70,7 +70,7 @@ def _eight_node_setup():
 def _integrate_cfg(ds, e0, method, t1, steps, n_hops=1):
     state = make_state(ds, method=method, t1=t1, steps=steps, n_hops=n_hops, std=1.0)
     state.e0[:] = e0
-    return integrate(state)
+    return final_embeddings(state)
 
 
 def test_solver_oracle_equivalence_coarse():
@@ -83,7 +83,7 @@ def test_solver_oracle_equivalence_coarse():
     unweakened; the printed numbers document the gap.
     """
     ds, adjacency, e0 = _eight_node_setup()
-    dense = adjacency.to_dense()
+    dense = adjacency.to_scipy().toarray()
     diffs = {}
     for t1 in (0.7, 1.0):
         oracle = _integrate_cfg(ds, e0, "euler", t1, 100000)
@@ -109,7 +109,7 @@ def test_solver_convergence_orders():
     asymptotic regime; errors here are far above the 1e-12 floor.
     """
     ds, adjacency, e0 = _eight_node_setup()
-    dense = adjacency.to_dense()
+    dense = adjacency.to_scipy().toarray()
     t1 = 0.2
     exact = expm((dense - np.eye(8)) * t1) @ e0
     slopes = {}
@@ -128,9 +128,9 @@ def test_residual_connection_equivalence():
     """Euler, steps=1, t1=1, one hop equals e0 + (A - I) e0 on the dense path."""
     ds = synthetic_split(n_users=4, n_items=6, seed=2)
     state = make_state(ds, method="euler", t1=1.0, steps=1, n_hops=1, std=1.0, seed=8)
-    dense = state.adjacency.to_dense()
+    dense = state.adjacency.to_scipy().toarray()
     residual = state.e0 + (dense @ state.e0 - state.e0)
-    gap = np.abs(integrate(state) - residual).max()
+    gap = np.abs(final_embeddings(state) - residual).max()
     assert gap <= 1e-15
     report("residual-equivalence", f"max abs gap {gap:.1e}")
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import odecf.evaluation
-from odecf.data import synthetic_split
+from odecf.data import leave_one_out_split, parse_interactions, synthetic_split
 from odecf.evaluation import evaluate, rank_all
 from odecf.graph import build_adjacency
 from odecf.model import (
@@ -23,7 +23,7 @@ from odecf.model import (
     final_embeddings,
     init_embeddings,
 )
-from odecf.train import TrainConfig, fit, loss_and_grads, sample_triplets
+from odecf.train import TrainConfig, batch_loss, fit, loss_and_grads, sample_triplets
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -103,3 +103,34 @@ def test_training_and_evaluation_warn_nothing():
                                                                    "validation", [20]))
             evaluate(final_embeddings(best), ds, "test", [20])
         assert len(history) == 1
+
+
+def test_log_and_split_fields_keep_their_form():
+    """The log rows ``checks.log_arrays`` reads and the split fields ``checks`` and ``run.py`` read."""
+    log, _ = parse_interactions(["u1 i2 30", "u0 i2 10", "u1 i0 20", "u0 i1 40", "u1 i1 50",
+                                 "u0 i0 60"])
+    assert [(r.user_key, r.item_key, r.timestamp) for r in log.interactions][:2] == [
+        ("u1", "i2", 30), ("u0", "i2", 10)]
+    for ds in (leave_one_out_split(log), synthetic_split(n_users=6, n_items=8, seed=1)):
+        assert isinstance(ds.user_index, dict) and isinstance(ds.item_index, dict)
+        assert ds.n_train_interactions() == len(ds.train_items)
+        assert len(ds.train) == ds.n_users
+        for u, items in enumerate(ds.train):
+            assert all(type(i) is int for i in items)
+            assert items == ds.train_items[ds.train_indptr[u]:ds.train_indptr[u + 1]].tolist()
+
+
+def test_fit_and_batch_loss_keep_their_form():
+    """``run.py`` unpacks ``(history, best)``, ``checks.check_fit`` reads ``.epoch`` and
+    ``.loss``, and the gradient check treats ``batch_loss`` as a float function."""
+    ds = synthetic_split(n_users=6, n_items=8, seed=3)
+    state = ModelState.create(init_embeddings(ds.n_users + ds.n_items, 3, 0.1, 4),
+                              build_adjacency(ds), SolverConfig())
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=2, seed=5)
+    history, best = fit(ds, state.copy(), cfg,
+                        lambda s: evaluate(final_embeddings(s), ds, "validation", [20]))
+    assert [r.epoch for r in history] == [1, 2]
+    assert all(type(r.loss) is float for r in history)
+    assert type(best) is ModelState
+    batch = sample_triplets(ds, 5, np.random.default_rng(6))
+    assert type(batch_loss(state, batch, 1e-4)) is float

@@ -7,19 +7,25 @@ import numpy as np
 import pytest
 
 import odecf
+import odecf.evaluation
 from odecf.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
     ExperimentConfig,
+    build_dataset,
+    build_state,
     config_echo,
     config_hash,
     emit_sweep_table,
     load_config,
     main,
+    run_experiment,
 )
-from odecf.train import load_checkpoint
+from odecf.evaluation import evaluate, rank_all, write_metrics_csv
+from odecf.model import final_embeddings
+from odecf.train import load_checkpoint, read_checkpoint_meta
 
 from test_train import damage_checkpoint
 
@@ -153,6 +159,44 @@ class TestRunExperiment:
         assert not (outdir / "checkpoint.emb").exists()
         assert not (outdir / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("extra", [
+        dict(max_epochs=6, patience=2),  # best epoch 3 of 5
+        dict(max_epochs=5, method="rk4", use_weights="true", learning_rate=0.05),  # 2 of 5
+        dict(max_epochs=4, model="lightgcn", learning_rate=0.1),  # 1 of 4
+        dict(max_epochs=0),
+    ], ids=["euler", "rk4-weighted", "lightgcn", "no-epochs"])
+    def test_validation_rows_reuse_the_best_epochs_report(self, raw_file, tmp_path,
+                                                          monkeypatch, capsys, extra):
+        modes = []
+
+        def counted(fe, ds, mode, *args):
+            modes.append(mode)
+            return rank_all(fe, ds, mode, *args)
+
+        monkeypatch.setattr(odecf.evaluation, "rank_all", counted)
+        cfg = load_config(overrides=fast_overrides(raw_file, tmp_path / "run",
+                                                   eval_n="20,5,1", **extra))
+        outdir = run_experiment(cfg)
+        epochs = len((outdir / "train_log.csv").read_text().splitlines()) - 1
+        best = int(read_checkpoint_meta(outdir)["epoch"])
+        if epochs:
+            assert best < epochs  # the reused report is not simply the last one
+            assert modes == ["validation"] * epochs + ["test"]
+        else:
+            assert modes == ["validation", "test"]
+
+        ds, _ = build_dataset(cfg)
+        state = build_state(cfg, ds)
+        state.e0, weights, _ = load_checkpoint(outdir)
+        if weights is not None:
+            state.hop_weights = weights
+        fe = final_embeddings(state)
+        n_values = cfg.eval_n_list()
+        write_metrics_csv(tmp_path / "fresh.csv", [
+            ("validation", evaluate(fe, ds, "validation", n_values)),
+            ("test", evaluate(fe, ds, "test", n_values))])
+        assert (outdir / "metrics.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
     def test_missing_dataset_exit_code_and_message(self, capsys):
         rc = main(["train", "--set", "dataset=/absent/file.txt"])
         assert rc == EXIT_CONFIG
@@ -183,10 +227,10 @@ class TestPrepareAndEvaluate:
         assert rc == EXIT_OK
         for name in ("train.txt", "val.txt", "test.txt", "user_map.txt", "item_map.txt"):
             assert (outdir / name).stat().st_size > 0
-        from odecf.data import read_split
-        ds = read_split(outdir)
-        assert ds.n_users == 12
-        assert all(len(t) >= 1 for t in ds.train)
+        users = [line.split("\t")[1] for line in (outdir / "user_map.txt").read_text().splitlines()]
+        assert users == [str(u) for u in range(12)]
+        train_users = {line.split()[0] for line in (outdir / "train.txt").read_text().splitlines()}
+        assert train_users == set(users)
 
     def test_evaluate_checkpoint_matches_training_metrics(self, raw_file, tmp_path, capsys):
         outdir = tmp_path / "run"

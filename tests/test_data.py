@@ -9,7 +9,6 @@ from odecf.data import (
     k_core_filter,
     leave_one_out_split,
     parse_interactions,
-    read_split,
     synthetic_split,
     train_pairs,
     write_split,
@@ -243,36 +242,10 @@ class TestSplitIO:
         write_split(ds, tmp_path)
         for name in ("train.txt", "val.txt", "test.txt", "user_map.txt", "item_map.txt"):
             assert (tmp_path / name).exists()
-        back = read_split(tmp_path)
-        assert back.n_users == ds.n_users and back.n_items == ds.n_items
-        assert back.train == ds.train
-        assert np.array_equal(back.validation, ds.validation)
-        assert np.array_equal(back.test, ds.test)
-        assert back.user_index == ds.user_index
-
-    @pytest.mark.parametrize("name, edit, match", [
-        ("val.txt", lambda lines: lines[:-1], "each of the 5 users once"),
-        ("val.txt", lambda lines: lines + lines[:1], "each of the 5 users once"),
-        ("test.txt", lambda lines: lines[:1] + ["1 99"] + lines[2:], "outside"),
-        ("test.txt", lambda lines: lines[:-1] + ["-1 0"], "outside"),
-        ("train.txt", lambda lines: lines + ["0 8"], "outside"),
-        ("train.txt", lambda lines: lines + ["5 0"], "outside"),
-        ("train.txt", lambda lines: lines + ["0 -2"], "outside"),
-        ("train.txt", lambda lines: lines + ["1 x"], r"train\.txt"),
-        ("val.txt", lambda lines: lines[:-1] + ["4"], r"val\.txt"),
-        ("user_map.txt", lambda lines: lines + ["u9"], r"user_map\.txt"),
-        ("item_map.txt", lambda lines: lines[:-1] + ["i7\tseven"], r"item_map\.txt"),
-        ("item_map.txt", lambda lines: lines[:-1] + ["i7\t7\tx"], r"item_map\.txt"),
-        pytest.param("item_map.txt",
-                     lambda lines: lines[:1] + [lines[1].split("\t")[0] + "\t0"] + lines[2:],
-                     r"item_map\.txt", id="item_map-shared-id"),
-    ])
-    def test_bad_files_rejected(self, tmp_path, name, edit, match):
-        write_split(synthetic_split(n_users=5, n_items=8, seed=2), tmp_path)
-        path = tmp_path / name
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(DataError, match=match):
-            read_split(tmp_path)
+        lines = {name: (tmp_path / name).read_text().splitlines()
+                 for name in ("train.txt", "val.txt", "item_map.txt")}
+        assert len(lines["train.txt"]) == ds.n_train_interactions()
+        assert len(lines["val.txt"]) == ds.n_users and len(lines["item_map.txt"]) == ds.n_items
 
     def test_train_pairs_layout(self):
         ds = synthetic_split(n_users=4, n_items=7, seed=1)
@@ -305,9 +278,6 @@ class TestSplitIO:
             write_split(ds, got)
             for name in ("train.txt", "val.txt", "test.txt", "user_map.txt", "item_map.txt"):
                 assert (got / name).read_bytes() == (want / name).read_bytes(), name
-            back = read_split(got)
-            assert np.array_equal(back.train_indptr, ds.train_indptr)
-            assert np.array_equal(back.train_items, ds.train_items)
 
 
 def list_synthetic_split(n_users, n_items, seed, min_train, max_train):

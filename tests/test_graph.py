@@ -27,7 +27,7 @@ def zero_adjacency(n_nodes, n_users):
 class TestBuildAdjacency:
     def test_single_edge(self):
         adj = build_adjacency(simple_ds([[0]], 1))
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         assert dense.shape == (2, 2)
         assert dense[0, 1] == 1.0 and dense[1, 0] == 1.0
         assert dense[0, 0] == 0.0 and dense[1, 1] == 0.0
@@ -35,7 +35,7 @@ class TestBuildAdjacency:
     def test_hand_computed_degrees(self):
         # u0-{i0,i1}, u1-{i0}: deg(u0)=2, deg(u1)=1, deg(i0)=2, deg(i1)=1
         adj = build_adjacency(simple_ds([[0, 1], [0]], 2))
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         assert dense[0, 2] == pytest.approx(0.5, abs=1e-15)  # 1/sqrt(2*2)
         assert dense[0, 3] == pytest.approx(0.7071067811865476, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.7071067811865476, abs=1e-15)
@@ -44,7 +44,7 @@ class TestBuildAdjacency:
     def test_structural_symmetry_and_bipartite_blocks(self):
         ds = synthetic_split(n_users=9, n_items=12, seed=0)
         adj = build_adjacency(ds)
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         assert np.array_equal(dense, dense.T)
         n = ds.n_users
         assert not dense[:n, :n].any()
@@ -53,7 +53,7 @@ class TestBuildAdjacency:
     def test_row_sum_bound_and_spectral_radius(self):
         ds = synthetic_split(n_users=10, n_items=9, seed=3)
         adj = build_adjacency(ds)
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         degrees = (dense > 0).sum(axis=1)
         assert np.abs(dense).sum(axis=1).max() <= np.sqrt(degrees.max()) + 1e-12
         # power iteration oracle for the spectral radius
@@ -70,7 +70,7 @@ class TestBuildAdjacency:
         with pytest.raises(GraphError, match="item 2"):
             build_adjacency(ds)
         adj = build_adjacency(ds, allow_isolated_items=True)
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         assert not dense[2 + 2].any() and not dense[:, 2 + 2].any()
 
     def test_sorted_columns_within_rows(self):
@@ -96,7 +96,7 @@ class TestSpmm:
     def test_matches_dense_oracle(self):
         ds = synthetic_split(n_users=3, n_items=3, seed=2, min_train=1, max_train=1)
         adj = build_adjacency(ds, allow_isolated_items=True)
-        dense = adj.to_dense()
+        dense = adj.to_scipy().toarray()
         emb = np.random.default_rng(1).normal(size=(adj.n_nodes, 5))
         assert np.abs(spmm(adj, emb) - dense @ emb).max() < 1e-12
 
