@@ -151,7 +151,16 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
         y = _hops(x, state.adjacency, cfg.n_hops)
         if probe is not None:  # the first hop product, A^K e
             aux, probe = float(np.vdot(y, probe)), None
-        return (y if c is None else c * y) - x
+        if c is not None:
+            y *= c
+        y -= x
+        return y
+
+    def shifted(k, scale, reuse):
+        """e + scale * k, written over k when ``reuse``."""
+        x = np.multiply(k, scale, out=k if reuse else None)
+        x += e
+        return x
 
     e = _check_rows(e, state.adjacency)
     forward = probe is None
@@ -161,13 +170,25 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
             if cfg.method == "euler":
                 aux = e if keep_tangent else aux
                 e = e + h * g(e)
-            else:
-                k1 = g(e)
-                k2 = g(e + 0.5 * h * k1)
-                k3 = g(e + 0.5 * h * k2)
-                k4 = g(e + h * k3)
-                aux = e + (h / 3.0) * (k2 + 2.0 * k3) if keep_tangent else aux
-                e = e + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:  # e + h/6 (k1 + 2 k2 + 2 k3 + k4) and the tangent e + h/3 (k2 + 2 k3),
+                # summed as the stages come; a stage needed no more becomes the next one's input
+                k = g(e)
+                total = k
+                k = g(shifted(k, 0.5 * h, reuse=False))
+                total += 2.0 * k
+                tangent = k if keep_tangent else None
+                k = g(shifted(k, 0.5 * h, reuse=not keep_tangent))
+                total += 2.0 * k
+                if keep_tangent:
+                    tangent += 2.0 * k
+                    tangent *= h / 3.0
+                    tangent += e
+                    aux = tangent
+                k = g(shifted(k, h, reuse=True))
+                total += k
+                total *= h / 6.0
+                total += e
+                e = total
         _check_finite(e)
     return e, aux
 

@@ -44,6 +44,22 @@ def embedding_for_scores(scores_by_user, n_users):
     return fe
 
 
+def lexsort_ranks(fe, ds, mode):
+    """Ranks from one np.lexsort of the float64 score matrix: score descending,
+    then item id ascending, excluded items last."""
+    n = ds.n_users
+    with np.errstate(over="ignore"):
+        scores = fe[:n] @ fe[n:].T
+    excluded = np.zeros(scores.shape, dtype=bool)
+    excluded[np.repeat(np.arange(n), np.diff(ds.train_indptr)), ds.train_items] = True
+    if mode == "test":
+        excluded[np.arange(n), ds.validation] = True
+    ids = np.broadcast_to(np.arange(ds.n_items), scores.shape)
+    order = np.lexsort((ids, -scores, excluded), axis=-1)
+    targets = ds.validation if mode == "validation" else ds.test
+    return (1 + np.argmax(order == targets[:, None], axis=1)).tolist()
+
+
 class TestRankHeldout:
     def test_unique_maximum_ranks_first(self):
         ds = simple_ds([[1]], 4, validation=[2], test=[3])
@@ -292,6 +308,98 @@ class TestEvaluate:
         fe = embedding_for_scores([[0.0, 1e300, 2e300]], 1)
         fe[0] = 1e300  # finite rows: items 1 and 2 both score +inf and tie
         assert rank_all(fe, ds, "test", exclude_validation_at_test=False)[0].rank == 2
+
+
+class TestFloat32Screen:
+    """rank_all screens in float32 and scores again in float64 what it cannot
+    certify; every rank must still equal a full float64 sort's."""
+
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_tie_heavy_oracle_through_rank_all(self, mode):
+        # the 1000 cases of test_acceptance.test_metric_oracle, same stream;
+        # at test time the lowest excluded item is the validation item
+        rng = np.random.default_rng(0)
+        n_items = 50
+        for case in range(1000):
+            scores = rng.normal(size=n_items)
+            if case % 3 == 0:
+                scores = np.round(scores, 1)  # deliberate ties
+            excl = sorted(int(x) for x in rng.choice(n_items, size=6, replace=False))
+            target = int(rng.choice([i for i in range(n_items) if i not in excl]))
+            if mode == "validation":
+                ds = simple_ds([excl], n_items, validation=[target], test=[target])
+            else:
+                ds = simple_ds([excl[1:]], n_items, validation=[excl[0]], test=[target])
+            fe = embedding_for_scores([scores], 1)
+            want = brute_force_rank(scores, target, set(excl))
+            assert rank_all(fe, ds, mode)[0].rank == want
+
+    @staticmethod
+    def planted(case):
+        """(user row, item rows) of one user over 40 items, scores in a shuffled order."""
+        steps = np.random.default_rng(23).permutation(40).astype(np.float64)
+        if case == "near-tie":  # every item within 1e-12 relative of every other
+            return np.array([1.0]), (1.0 + 2.5e-14 * steps)[:, None]
+        if case == "float32-overflow":  # finite in float32, products near 1e40 are not
+            return np.array([1e20, 1e20]), np.stack([1e20 * steps, 1e20 * (steps + 1)], axis=1)
+        if case == "float32-underflow":  # products near 1e-46 round to float32 zero
+            return np.array([1e-23, 1e-23]), np.stack([1e-23 * steps, 1e-23 * steps], axis=1)
+        if case == "float32-partial-overflow":  # only item 0 overflows, and scores below most
+            items = np.stack([1e17 * steps, 1e17 * steps], axis=1)
+            items[0] = [1.75e19, -1.66e19]
+            return np.array([2e19, 2e19]), items
+        if case == "float32-rounding":  # terms near 1 cancel to scores ~1e-6 apart, and
+            rng = np.random.default_rng(28)  # float32 rounding reorders some of them
+            user, common = rng.normal(size=(2, 8))
+            common -= (common @ user) / (user @ user) * user
+            return user, common + 1e-6 * rng.normal(size=(40, 8))
+        return np.zeros(3), np.random.default_rng(24).normal(size=(40, 3))  # all-zero user
+
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    @pytest.mark.parametrize("case", ["near-tie", "float32-overflow", "float32-underflow",
+                                      "float32-partial-overflow", "float32-rounding", "zero-user"])
+    def test_planted_cases_match_lexsort_oracle(self, case, mode):
+        user, items = self.planted(case)
+        ds = simple_ds([[5, 17]], 40, validation=[30], test=[21])
+        fe = np.vstack([user, items])
+        ranks = [r.rank for r in rank_all(fe, ds, mode)]
+        assert ranks == lexsort_ranks(fe, ds, mode)
+        assert ranks[0] > 1  # a count of the float32 winners alone would say 1
+
+    def test_screen_counts_past_two_to_the_sixteen_columns(self, monkeypatch):
+        # 70,000 distinct integer scores: the screen certifies the row, which
+        # needs its count of 68,998 items above the target not to wrap
+        n_items = 70_000
+        scores = np.random.default_rng(25).permutation(n_items).astype(np.float64)
+        target = int(np.flatnonzero(scores == 1000)[0])
+        ds = simple_ds([[int(np.argmax(scores))]], n_items, validation=[target], test=[target])
+        fe = embedding_for_scores([scores], 1)
+        monkeypatch.setattr(odecf.evaluation, "_ranks", None)  # not called
+        assert rank_all(fe, ds, "validation")[0].rank == n_items - 1000 - 1
+
+    def test_only_uncertain_rows_reach_the_float64_ranking(self, monkeypatch):
+        # scores 1e-3 apart leave the screen nothing to hand on; an all-zero
+        # user ties every item and is the one row scored again in float64
+        ds = synthetic_split(n_users=6, n_items=40, seed=21)
+        rng = np.random.default_rng(22)
+        scores = 1e-3 * np.array([rng.permutation(ds.n_items) for _ in range(ds.n_users)])
+        fe = embedding_for_scores(scores, ds.n_users)
+        passed = []
+        real_ranks = odecf.evaluation._ranks
+
+        def spy(block, targets, mask):
+            passed.append(block.copy())
+            return real_ranks(block, targets, mask)
+
+        monkeypatch.setattr(odecf.evaluation, "_ranks", spy)
+        for mode in ("validation", "test"):
+            assert [r.rank for r in rank_all(fe, ds, mode)] == lexsort_ranks(fe, ds, mode)
+        assert sum(len(block) for block in passed) == 0
+        fe[3] = 0.0
+        ranks = [r.rank for r in rank_all(fe, ds, "test")]
+        assert ranks == lexsort_ranks(fe, ds, "test")
+        assert [len(block) for block in passed] == [1]
+        assert np.all(np.isnan(passed[0]) | (passed[0] == 0.0))
 
 
 def test_metrics_report_lookup():

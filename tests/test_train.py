@@ -265,6 +265,25 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 5 * state.e0.nbytes
 
+    @pytest.mark.parametrize("model", ["rk4", "rk4-weighted"])
+    def test_rk4_backward_peak_stays_under_seven_and_a_half_embedding_tables(self, model):
+        # the step adds each stage into its result (and the hop-weight
+        # tangent) as it comes, so beside those sums at most one stage and
+        # the next one's input are alive: 6.35 tables, where keeping all four
+        # stages takes more than 9
+        ds = synthetic_split(n_users=300, n_items=700, seed=3)
+        state = model_state(ds, model, dims=32)
+        batch = sample_triplets(ds, 1024, np.random.default_rng(2))
+        fe, ctx = model_forward(state)
+        backward(batch, state, fe, ctx, 1e-4)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            backward(batch, state, fe, ctx, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * state.e0.nbytes
+
     def test_zero_length_integration_matches_mf_oracle(self, small_ds):
         state = make_state(small_ds, t1=1e-30, steps=1, n_hops=1, seed=3)
         batch = sample_triplets(small_ds, 16, np.random.default_rng(5))
