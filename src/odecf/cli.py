@@ -82,13 +82,9 @@ class ExperimentConfig:
     seed: int = 42
     k_core: int = 5
     k_core_users_only: bool = False
-    allow_isolated_items: bool = False
-    exclude_validation_at_test: bool = True
     eval_n: str = "10,20"
     outdir: str = "run"
     log_timing: bool = True
-    sweep_param: str = ""
-    sweep_values: str = ""
 
     def eval_n_list(self) -> list[int]:
         try:
@@ -208,8 +204,7 @@ def config_echo(cfg: ExperimentConfig) -> str:
 
 
 # Fields that change neither the data, the graph nor the trained model.
-_UNHASHED = ("outdir", "log_timing", "eval_n", "exclude_validation_at_test",
-             "sweep_param", "sweep_values")
+_UNHASHED = ("outdir", "log_timing", "eval_n")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -235,7 +230,7 @@ def build_dataset(cfg: ExperimentConfig):
 
 
 def build_state(cfg: ExperimentConfig, ds):
-    adjacency = build_adjacency(ds, allow_isolated_items=cfg.allow_isolated_items)
+    adjacency = build_adjacency(ds, allow_isolated_items=True)
     e0 = init_embeddings(ds.n_users + ds.n_items, cfg.dims, cfg.init_std, cfg.seed)
     if cfg.model == "gode_cf":
         return ModelState.create(e0, adjacency, cfg.solver_config())
@@ -279,8 +274,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     else:
         best_epoch, best_metric = 0, float("nan")
         val_report = evaluate(fe, ds, "validation", n_values)
-    test_report = evaluate(fe, ds, "test", n_values,
-                           exclude_validation_at_test=cfg.exclude_validation_at_test)
+    test_report = evaluate(fe, ds, "test", n_values)
     write_metrics_csv(outdir / "metrics.csv",
                       [("validation", val_report), ("test", test_report)])
 
@@ -298,29 +292,27 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
-def _sweep_values(cfg: ExperimentConfig) -> list:
-    if not cfg.sweep_param:
-        raise ConfigError("field 'sweep_param': no sweep parameter configured")
-    if cfg.sweep_param not in _FIELD_TYPES or cfg.sweep_param in (
-            "sweep_param", "sweep_values", "outdir"):
-        raise ConfigError(f"field 'sweep_param': cannot sweep {cfg.sweep_param!r}")
-    raw = [x for x in cfg.sweep_values.replace(",", " ").split() if x]
+def _sweep_values(param: str | None, values: str | None) -> list:
+    if not param:
+        raise ConfigError("--param: no sweep parameter given")
+    if param not in _FIELD_TYPES or param == "outdir":
+        raise ConfigError(f"--param: cannot sweep {param!r}")
+    raw = (values or "").replace(",", " ").split()
     if not raw:
-        raise ConfigError("field 'sweep_values': no values configured")
-    return [_coerce(cfg.sweep_param, x) for x in raw]
+        raise ConfigError("--values: no values given")
+    return [_coerce(param, x) for x in raw]
 
 
-def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> Path:
-    """One run per swept value in its own subdirectory, then a consolidated table."""
-    values = _sweep_values(cfg)
+def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1) -> Path:
+    """One run per comma-separated value of field ``param``, each in its own
+    subdirectory of ``cfg.outdir``, then a consolidated table."""
+    typed = _sweep_values(param, values)
     cfg.validate()
     base = resolve_outdir(cfg.outdir)
     base.mkdir(parents=True, exist_ok=True)
-    run_cfgs = []
-    for value in values:
-        sub = base / f"{cfg.sweep_param}={value}"
-        run_cfgs.append(replace(cfg, outdir=str(sub), sweep_param="", sweep_values="",
-                                **{cfg.sweep_param: value}))
+    # run_experiment resolves each run's outdir, so it extends the unresolved one
+    run_cfgs = [replace(cfg, outdir=str(Path(cfg.outdir) / f"{param}={value}"), **{param: value})
+                for value in typed]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             list(pool.map(run_experiment, run_cfgs))
@@ -409,12 +401,15 @@ def run_gradcheck(seed: int = 0) -> float:
     return worst
 
 
-def _cmd_prepare_data(args) -> int:
+def _load_config(args) -> ExperimentConfig:
+    """A verb's config: --config, then --set, then its --dataset/--input and --outdir."""
     cfg = load_config(args.config, args.set or [])
-    if args.input:
-        cfg = replace(cfg, dataset=args.input)
-    if args.outdir:
-        cfg = replace(cfg, outdir=args.outdir)
+    given = {name: getattr(args, name, None) for name in ("dataset", "outdir")}
+    return replace(cfg, **{name: value for name, value in given.items() if value})
+
+
+def _cmd_prepare_data(args) -> int:
+    cfg = _load_config(args)
     cfg.validate()
     ds, stats = build_dataset(cfg)
     outdir = resolve_outdir(cfg.outdir)
@@ -426,30 +421,22 @@ def _cmd_prepare_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    if args.dataset:
-        cfg = replace(cfg, dataset=args.dataset)
-    if args.outdir:
-        cfg = replace(cfg, outdir=args.outdir)
-    run_experiment(cfg)
+    run_experiment(_load_config(args))
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    if args.dataset:
-        cfg = replace(cfg, dataset=args.dataset)
+    cfg = _load_config(args)
     cfg.validate()
     ds, _ = build_dataset(cfg)
-    adjacency = build_adjacency(ds, allow_isolated_items=cfg.allow_isolated_items)
+    adjacency = build_adjacency(ds, allow_isolated_items=True)
     e0, weights, meta = load_checkpoint(args.checkpoint)
     if cfg.model == "gode_cf":
         state = ModelState(e0=e0, hop_weights=weights, adjacency=adjacency,
                            solver=cfg.solver_config())
     else:
         state = LightGCNState.create(e0, adjacency, cfg.n_layers)
-    report = evaluate(final_embeddings(state), ds, args.mode, cfg.eval_n_list(),
-                      exclude_validation_at_test=cfg.exclude_validation_at_test)
+    report = evaluate(final_embeddings(state), ds, args.mode, cfg.eval_n_list())
     for n, recall, ndcg in zip(report.n_values, report.recall, report.ndcg):
         print(f"{args.mode} recall@{n}={recall:.6f} ndcg@{n}={ndcg:.6f}")
     if args.out:
@@ -461,17 +448,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    if args.param:
-        cfg = replace(cfg, sweep_param=args.param)
-    if args.values:
-        cfg = replace(cfg, sweep_values=args.values)
-    if args.outdir:
-        cfg = replace(cfg, outdir=args.outdir)
+    cfg = _load_config(args)
     if args.table_only:
         emit_sweep_table(resolve_outdir(cfg.outdir))
         return EXIT_OK
-    run_sweep(cfg, parallel=args.parallel)
+    run_sweep(cfg, args.param, args.values, parallel=args.parallel)
     return EXIT_OK
 
 
@@ -497,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare-data", help="parse, k-core filter and split a raw file")
     add_common(p)
-    p.add_argument("--input", help="raw interaction file (overrides 'dataset')")
+    p.add_argument("--input", dest="dataset", help="raw interaction file (overrides 'dataset')")
     p.add_argument("--outdir", help="directory for the split files")
     p.set_defaults(handler=_cmd_prepare_data)
 
@@ -517,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over one config field")
     add_common(p)
-    p.add_argument("--param", help="config field to sweep")
-    p.add_argument("--values", help="comma-separated sweep values")
+    p.add_argument("--param", help="config field to sweep (needed unless --table-only)")
+    p.add_argument("--values", help="comma-separated values (needed unless --table-only)")
     p.add_argument("--outdir", help="base directory for the runs")
     p.add_argument("--parallel", type=int, default=1,
                    help="run up to N sweeps as parallel processes")

@@ -205,16 +205,18 @@ def _excluded(ds: SplitDataset, users: np.ndarray, with_validation: bool):
 _BLOCK_BYTES = 8 << 20
 
 
-def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str,
-             exclude_validation_at_test: bool = True) -> list[RankResult]:
+def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str) -> list[RankResult]:
     """Held-out ranks for every user, scored in user blocks of at most
     ``_BLOCK_BYTES`` (one user at least) in one reused buffer: screened in
-    float32, and scored again in float64 where the screen cannot certify."""
+    float32, and scored again in float64 where the screen cannot certify.
+
+    Candidates are the items the user has not trained on; in test mode the
+    user's validation item is excluded too."""
     if mode not in ("validation", "test"):
         raise EvalError(f"mode must be 'validation' or 'test', got {mode!r}")
     fe = _check_embeddings(fe, ds)
     targets = ds.validation if mode == "validation" else ds.test
-    with_validation = mode == "test" and exclude_validation_at_test
+    with_validation = mode == "test"
     n_users, n_items = ds.n_users, ds.n_items
     item_rows = fe[n_users:]
     height = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items)))
@@ -264,10 +266,10 @@ def ndcg_at_n(results, n: int) -> float:
     return float(total / len(results))
 
 
-def evaluate(fe: np.ndarray, ds: SplitDataset, mode: str, n_values,
-             exclude_validation_at_test: bool = True) -> MetricsReport:
-    """Rank every user's held-out item and aggregate both metrics per N."""
-    results = rank_all(fe, ds, mode, exclude_validation_at_test)
+def evaluate(fe: np.ndarray, ds: SplitDataset, mode: str, n_values) -> MetricsReport:
+    """Rank every user's held-out item (``rank_all``: train items excluded, and
+    the validation item in test mode) and aggregate both metrics per N."""
+    results = rank_all(fe, ds, mode)
     n_values = [int(n) for n in n_values]
     return MetricsReport(
         n_values=n_values,

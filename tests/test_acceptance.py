@@ -225,7 +225,7 @@ def test_determinism_byte_identical_logs(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         f"dataset = {raw}\nk_core = 2\ndims = 8\nbatch_size = 16\n"
-        "max_epochs = 4\nseed = 3\nlog_timing = false\nallow_isolated_items = true\n"
+        "max_epochs = 4\nseed = 3\nlog_timing = false\n"
     )
     payloads = []
     for name in ("one", "two"):
@@ -257,7 +257,7 @@ def test_beauty_desk_scale_stretch(tmp_path):
         outdir = tmp_path / model
         argv = ["train"]
         for pair in (f"dataset={raw}", f"outdir={outdir}", f"model={model}",
-                     "allow_isolated_items=true", "max_epochs=400", "patience=50"):
+                     "max_epochs=400", "patience=50"):
             argv += ["--set", pair]
         assert main(argv) == EXIT_OK
         rows = [l.split(",") for l in (outdir / "metrics.csv").read_text().splitlines()

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import odecf.evaluation
-from odecf.data import leave_one_out_split, parse_interactions, synthetic_split
+from odecf.data import k_core_filter, leave_one_out_split, parse_interactions, synthetic_split
 from odecf.evaluation import evaluate, rank_all
 from odecf.graph import build_adjacency
 from odecf.model import (
@@ -134,3 +134,26 @@ def test_fit_and_batch_loss_keep_their_form():
     assert type(best) is ModelState
     batch = sample_triplets(ds, 5, np.random.default_rng(6))
     assert type(batch_loss(state, batch, 1e-4)) is float
+
+
+def test_calls_beside_removed_options_keep_their_form():
+    """``run.py``'s ``k_core_filter(log, k)``, ``build_adjacency(ds, allow_isolated_items=True)``,
+    ``evaluate(fe, ds, mode, [20])`` and three-argument ``rank_all(fe, ds, "test")``."""
+    # u0: train a, b, validation c, test x; u1: train a, b, validation x, test c.
+    # c and x have no train edge; u9 and z fall below the 2-core
+    log, _ = parse_interactions(["u0 a 1", "u0 b 2", "u0 c 3", "u0 x 4", "u1 a 1", "u1 b 2",
+                                 "u1 x 3", "u1 c 4", "u9 z 1"])
+    kept = k_core_filter(log, 2)
+    assert len(kept) == 8
+    ds = leave_one_out_split(kept)
+    adj = build_adjacency(ds, allow_isolated_items=True).to_scipy()
+    for key in ("c", "x"):
+        node = ds.n_users + ds.item_index[key]
+        assert adj[node].nnz == 0 and adj[:, node].nnz == 0
+    # scores rise with the item id, so u1's validation item x outranks its test item c
+    fe = np.zeros((ds.n_users + ds.n_items, 1))
+    fe[:ds.n_users] = 1.0
+    fe[ds.n_users:, 0] = np.arange(ds.n_items)
+    assert [r.rank for r in rank_all(fe, ds, "test")] == [1, 1]
+    report = evaluate(fe, ds, "test", [20])
+    assert report.n_values == [20] and report.recall_at(20) == 1.0

@@ -52,7 +52,6 @@ def fast_overrides(raw_file, outdir, **extra):
         "dims": "8",
         "batch_size": "16",
         "max_epochs": "3",
-        "allow_isolated_items": "true",
         "log_timing": "false",
         "seed": "7",
     }
@@ -100,6 +99,14 @@ class TestConfig:
         assert echoed == cfg
         assert config_hash(cfg) == config_hash(echoed)
         assert config_hash(cfg) != config_hash(ExperimentConfig())
+
+    @pytest.mark.parametrize("name", ["sweep_param", "sweep_values", "exclude_validation_at_test",
+                                      "allow_isolated_items"])
+    def test_removed_field_exits_naming_it(self, raw_file, tmp_path, capsys, name):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"dataset = {raw_file}\n{name} = true\n")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -196,6 +203,19 @@ class TestRunExperiment:
             ("validation", evaluate(fe, ds, "validation", n_values)),
             ("test", evaluate(fe, ds, "test", n_values))])
         assert (outdir / "metrics.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_item_seen_only_as_a_test_item_trains(self, raw_file, tmp_path):
+        # u00's last interaction is the one line of item 'rare', so the split
+        # makes it u00's test item and leaves it with no train edge
+        raw_file.write_text(raw_file.read_text() + "u00 rare 999\n")
+        outdir = tmp_path / "run"
+        overrides = fast_overrides(raw_file, outdir, k_core=1)
+        ds, _ = build_dataset(load_config(overrides=overrides))
+        rare = ds.item_index["rare"]
+        assert ds.test[ds.user_index["u00"]] == rare and rare not in ds.train_items
+        assert main(["train"] + [arg for pair in overrides for arg in ("--set", pair)]) == EXIT_OK
+        assert any(line.startswith("test,20,")
+                   for line in (outdir / "metrics.csv").read_text().splitlines())
 
     def test_missing_dataset_exit_code_and_message(self, capsys):
         rc = main(["train", "--set", "dataset=/absent/file.txt"])
@@ -341,6 +361,15 @@ class TestSweep:
     def test_bad_sweep_param(self, raw_file, tmp_path):
         rc = self.run_sweep_cli(raw_file, tmp_path / "s", "not_a_field", "1,2")
         assert rc == EXIT_CONFIG
+
+    def test_relative_output_root(self, raw_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ODECF_OUTPUT_ROOT", "out")
+        assert self.run_sweep_cli(raw_file, "runs", "t1", "0.8,0.9") == EXIT_OK
+        base = tmp_path / "out" / "runs"
+        assert sorted(p.name for p in base.glob("t1=*")) == ["t1=0.8", "t1=0.9"]
+        assert len((base / "sweep.csv").read_text().splitlines()) == 3
+        assert not (tmp_path / "out" / "out").exists()
 
 
 class TestGradcheckVerb:

@@ -276,16 +276,13 @@ class TestEvaluate:
         # equal up to float summation order
         assert ndcg_at_n(results, 10) == pytest.approx(ndcg_at_n(shuffled, 10), abs=1e-12)
 
-    def test_validation_exclusion_convention_switch(self):
+    def test_test_mode_excludes_the_validation_item(self):
         # one user: train {0}, val 1, test 2; a third item 3 pads the catalog.
-        # scores rank val above test, so including the val item in test-mode
-        # candidates pushes the test rank down by one
+        # scores rank val above test, so only excluding the val item from
+        # test-mode candidates puts the test item first
         ds = simple_ds([[0]], 4, validation=[1], test=[2])
         fe = embedding_for_scores([[9.0, 2.0, 1.0, 0.0]], 1)
-        strict = rank_all(fe, ds, "test", exclude_validation_at_test=True)
-        loose = rank_all(fe, ds, "test", exclude_validation_at_test=False)
-        assert strict[0].rank == 1
-        assert loose[0].rank == 2
+        assert rank_all(fe, ds, "test")[0].rank == 1
 
     def test_dimension_mismatch(self):
         ds = simple_ds([[0]], 2, validation=[1], test=[1])
@@ -304,10 +301,10 @@ class TestEvaluate:
             rank_heldout(fe, ds, 0, ds.test[0], set(ds.train[0]))
 
     def test_overflowing_products_still_rank(self):
-        ds = simple_ds([[0]], 3, validation=[1], test=[2])
-        fe = embedding_for_scores([[0.0, 1e300, 2e300]], 1)
-        fe[0] = 1e300  # finite rows: items 1 and 2 both score +inf and tie
-        assert rank_all(fe, ds, "test", exclude_validation_at_test=False)[0].rank == 2
+        ds = simple_ds([[0]], 4, validation=[1], test=[3])
+        fe = embedding_for_scores([[0.0, 3e300, 1e300, 2e300]], 1)
+        fe[0] = 1e300  # finite rows: items 1, 2 and 3 all score +inf; item 1 is excluded
+        assert rank_all(fe, ds, "test")[0].rank == 2
 
 
 class TestFloat32Screen:
