@@ -319,13 +319,12 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1)
     else:
         for run_cfg in run_cfgs:
             run_experiment(run_cfg)
-    emit_sweep_table(base, base / "sweep.csv")
+    emit_sweep_table(base, base / "sweep.csv", field=param)
     return base
 
 
-def _read_run_row(run_dir: Path) -> tuple[str, str] | None:
-    name = run_dir.name
-    value = name.split("=", 1)[1] if "=" in name else name
+def _read_run_row(run_dir: Path) -> str:
+    field, value = run_dir.name.split("=", 1)
     metrics = {}
     with open(run_dir / "metrics.csv", "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -341,15 +340,17 @@ def _read_run_row(run_dir: Path) -> tuple[str, str] | None:
         fh.readline()
         for line in fh:
             seconds += float(line.rstrip("\n").split(",")[4])
-    return value, f"{value},{recall20},{ndcg20},{meta['epoch']},{seconds!r}"
+    return f"{field},{value},{recall20},{ndcg20},{meta['epoch']},{seconds!r}"
 
 
-def emit_sweep_table(results_dir, out_csv=None) -> Path:
-    """Consolidate run directories into one CSV row per completed run."""
+def emit_sweep_table(results_dir, out_csv=None, field=None) -> Path:
+    """Consolidate the ``<field>=<value>`` run directories under ``results_dir``
+    (only those of ``field`` when given) into one CSV row per completed run."""
     results_dir = Path(results_dir)
     run_dirs = sorted(
         p for p in results_dir.iterdir()
-        if p.is_dir() and (p / "config.txt").exists()
+        if p.is_dir() and (p / "config.txt").exists() and "=" in p.name
+        and field in (None, p.name.split("=", 1)[0])
     ) if results_dir.is_dir() else []
     rows = []
     for run_dir in run_dirs:
@@ -362,8 +363,8 @@ def emit_sweep_table(results_dir, out_csv=None) -> Path:
         raise DataError(f"no completed run directories under {results_dir}")
     out_csv = Path(out_csv) if out_csv else results_dir / "sweep.csv"
     with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("value,recall20,ndcg20,epochs_to_best,seconds\n")
-        for _, row in rows:
+        fh.write("field,value,recall20,ndcg20,epochs_to_best,seconds\n")
+        for row in rows:
             fh.write(row + "\n")
     print(f"sweep table: {out_csv} ({len(rows)} runs)")
     return out_csv
@@ -430,7 +431,7 @@ def _cmd_evaluate(args) -> int:
     cfg.validate()
     ds, _ = build_dataset(cfg)
     adjacency = build_adjacency(ds, allow_isolated_items=True)
-    e0, weights, meta = load_checkpoint(args.checkpoint)
+    e0, weights, meta = load_checkpoint(resolve_outdir(args.checkpoint))
     if cfg.model == "gode_cf":
         state = ModelState(e0=e0, hop_weights=weights, adjacency=adjacency,
                            solver=cfg.solver_config())

@@ -21,10 +21,17 @@ the one exact routine, ``_ranks``, which ``rank_heldout`` also uses: two
 compare passes into the mask, one counting the strict winners per row, the
 other finding the ties, of which only those left of the target's column
 count.
+
+The ranks stay in one int64 array, which ``evaluate`` and the metric
+reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
+``RankResult(user, rank)`` only when indexed or iterated, for the benchmark,
+which reads ``.rank``; ROADMAP item 2 deletes the view once it reads ``.ranks``.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +47,27 @@ class EvalError(ValueError):
 class RankResult(NamedTuple):
     user: int
     rank: int  # 1-based position among candidate items
+
+
+class RankView(Sequence):
+    """Read-only ``RankResult(user, rank)`` sequence over ``rank_all``'s int64
+    ranks (``.ranks``), user u at index u."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: np.ndarray):
+        ranks.flags.writeable = False
+        self.ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, index) -> RankResult:
+        user = range(len(self.ranks))[operator.index(index)]
+        return RankResult(user, int(self.ranks[user]))
+
+    def __iter__(self):
+        return map(RankResult, range(len(self.ranks)), self.ranks.tolist())
 
 
 @dataclass(eq=False)
@@ -205,7 +233,7 @@ def _excluded(ds: SplitDataset, users: np.ndarray, with_validation: bool):
 _BLOCK_BYTES = 8 << 20
 
 
-def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str) -> list[RankResult]:
+def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str) -> RankView:
     """Held-out ranks for every user, scored in user blocks of at most
     ``_BLOCK_BYTES`` (one user at least) in one reused buffer: screened in
     float32, and scored again in float64 where the screen cannot certify.
@@ -244,38 +272,47 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str) -> list[RankResult]:
             np.matmul(fe[users], item_rows.T, out=block)
         block[_excluded(ds, users, with_validation)] = np.nan
         ranks[users] = _ranks(block, targets[users], mask[: len(users)])
-    return list(map(RankResult, range(n_users), ranks.tolist()))
+    return RankView(ranks)
 
 
-def recall_at_n(results, n: int) -> float:
-    """Fraction of users whose held-out item ranks within the top n."""
+def _checked_ranks(ranks, n: int) -> np.ndarray:
     if n < 1:
         raise EvalError(f"N must be >= 1, got {n}")
-    if not results:
-        raise EvalError("no rank results to aggregate")
-    return sum(1 for r in results if r.rank <= n) / len(results)
+    ranks = np.asarray(ranks)
+    if ranks.ndim != 1:
+        raise EvalError(f"expected a 1-D array of ranks, got shape {ranks.shape}")
+    if not ranks.size:
+        raise EvalError("no ranks to aggregate")
+    return ranks
 
 
-def ndcg_at_n(results, n: int) -> float:
-    """Mean positional gain 1/log2(rank+1) over users, zero past the top n."""
-    if n < 1:
-        raise EvalError(f"N must be >= 1, got {n}")
-    if not results:
-        raise EvalError("no rank results to aggregate")
-    total = sum(1.0 / np.log2(r.rank + 1.0) for r in results if r.rank <= n)
-    return float(total / len(results))
+def recall_at_n(ranks, n: int) -> float:
+    """Fraction of users whose held-out item ranks within the top n, from
+    one 1-based rank per user."""
+    ranks = _checked_ranks(ranks, n)
+    return np.count_nonzero(ranks <= n) / len(ranks)
+
+
+def ndcg_at_n(ranks, n: int) -> float:
+    """Mean positional gain 1/log2(rank+1) over users, zero past the top n,
+    from one 1-based rank per user."""
+    ranks = _checked_ranks(ranks, n)
+    gains = 1.0 / np.log2(ranks[ranks <= n] + 1.0)
+    # summed left to right in user order (np.sum pairs terms and differs in the last bits)
+    total = np.cumsum(gains)[-1] if gains.size else 0.0
+    return float(total / len(ranks))
 
 
 def evaluate(fe: np.ndarray, ds: SplitDataset, mode: str, n_values) -> MetricsReport:
     """Rank every user's held-out item (``rank_all``: train items excluded, and
     the validation item in test mode) and aggregate both metrics per N."""
-    results = rank_all(fe, ds, mode)
+    ranks = rank_all(fe, ds, mode).ranks
     n_values = [int(n) for n in n_values]
     return MetricsReport(
         n_values=n_values,
-        recall=[recall_at_n(results, n) for n in n_values],
-        ndcg=[ndcg_at_n(results, n) for n in n_values],
-        users_evaluated=len(results),
+        recall=[recall_at_n(ranks, n) for n in n_values],
+        ndcg=[ndcg_at_n(ranks, n) for n in n_values],
+        users_evaluated=len(ranks),
     )
 
 

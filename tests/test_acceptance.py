@@ -153,9 +153,7 @@ def test_metric_oracle():
         assert got == want
         ranks_lib.append(got)
         ranks_oracle.append(want)
-    from odecf.evaluation import RankResult
-    lib = [RankResult(0, r) for r in ranks_lib]
-    oracle = [RankResult(0, r) for r in ranks_oracle]
+    lib, oracle = np.array(ranks_lib), np.array(ranks_oracle)
     for n in (1, 5, 20):
         assert abs(recall_at_n(lib, n) - recall_at_n(oracle, n)) < 1e-12
         assert abs(ndcg_at_n(lib, n) - ndcg_at_n(oracle, n)) < 1e-12

@@ -293,6 +293,26 @@ class TestPrepareAndEvaluate:
         assert (outdir / "manifest.txt").read_text().split() == [
             "config.txt", "train_log.csv", "metrics.csv", "checkpoint.emb", "checkpoint_meta.txt"]
 
+    def test_readme_train_then_evaluate_under_output_root(self, raw_file, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ODECF_OUTPUT_ROOT", "root")
+        overrides = [arg for pair in fast_overrides(raw_file, "runs/base")
+                     for arg in ("--set", pair)]
+        assert main(["train", "--dataset", raw_file.name, "--outdir", "runs/base"]
+                    + overrides) == EXIT_OK
+        rows = [line.split(",") for line in
+                (tmp_path / "root/runs/base/metrics.csv").read_text().splitlines()
+                if line.startswith("test,")]
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", "runs/base", "--mode", "test"] + overrides
+                    + ["--set", f"dataset={raw_file.name}"]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert printed.out.splitlines()[:len(rows)] == [
+            f"test recall@{n}={float(recall):.6f} ndcg@{n}={float(ndcg):.6f}"
+            for _, n, recall, ndcg, _ in rows]
+        assert "different config" not in printed.err
+
     @pytest.mark.parametrize("damage", ["truncated", "empty", "pickled", "text"])
     def test_evaluate_refuses_unreadable_checkpoint(self, raw_file, tmp_path, capsys, damage):
         outdir = tmp_path / "run"
@@ -316,8 +336,9 @@ class TestSweep:
         grid = "0.7,0.75,0.8,0.85,0.9,0.95,1"
         assert self.run_sweep_cli(raw_file, outdir, "t1", grid) == EXIT_OK
         lines = (outdir / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "value,recall20,ndcg20,epochs_to_best,seconds"
+        assert lines[0] == "field,value,recall20,ndcg20,epochs_to_best,seconds"
         assert len(lines) == 1 + 7
+        assert [line.split(",")[:2] for line in lines[1:]] == [["t1", str(float(v))] for v in grid.split(",")]
         assert len(list(outdir.glob("t1=*"))) == 7
 
     def test_weight_ablation_pair(self, raw_file, tmp_path):
@@ -357,6 +378,21 @@ class TestSweep:
         assert "skipping" in err and "t1=0.8" in err
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_second_sweep_tables_only_its_own_runs(self, raw_file, tmp_path, capsys):
+        outdir = tmp_path / "sweep_mixed"
+        assert self.run_sweep_cli(raw_file, outdir, "t1", "0.8,0.9") == EXIT_OK
+        assert self.run_sweep_cli(raw_file, outdir, "n_hops", "1") == EXIT_OK
+        (outdir / "notes").mkdir()
+        (outdir / "notes" / "config.txt").write_text("not a run\n")
+        lines = (outdir / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["n_hops", "1"]]
+        capsys.readouterr()
+        emit_sweep_table(outdir)  # --table-only keeps every sweep, each row naming its field
+        lines = (outdir / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["n_hops", "1"], ["t1", "0.8"], ["t1", "0.9"]]
+        assert "warning" not in capsys.readouterr().err
 
     def test_bad_sweep_param(self, raw_file, tmp_path):
         rc = self.run_sweep_cli(raw_file, tmp_path / "s", "not_a_field", "1,2")

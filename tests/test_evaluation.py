@@ -111,42 +111,67 @@ class TestRankHeldout:
             assert got == brute_force_rank(scores, target, excl)
 
 
+def per_user_recall(ranks, n):
+    """The per-user recall the array reduction replaced, as the reference."""
+    return sum(1 for r in ranks if r <= n) / len(ranks)
+
+
+def per_user_ndcg(ranks, n):
+    """The per-user NDCG the array reduction replaced, summed in user order."""
+    total = sum(1.0 / np.log2(r + 1.0) for r in ranks if r <= n)
+    return float(total / len(ranks))
+
+
 class TestAggregates:
+    @pytest.mark.parametrize("n", [1, 5, 20, 100])
+    def test_reductions_equal_the_per_user_formulas(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(50):
+            ranks = rng.integers(1, 3 * n + 2, int(rng.integers(1, 3000)))
+            ranks[rng.integers(0, len(ranks), 3)] = n
+            ranks[rng.integers(0, len(ranks), 3)] = n + 1
+            users = ranks.tolist()
+            assert recall_at_n(ranks, n) == per_user_recall(users, n)
+            assert ndcg_at_n(ranks, n) == per_user_ndcg(users, n)
+        assert recall_at_n(np.array([n, n + 1]), n) == 0.5
+        assert ndcg_at_n(np.array([n + 1]), n) == 0.0
+
     def test_recall_examples(self):
-        results = [RankResult(0, 3), RankResult(1, 25)]
-        assert recall_at_n(results, 20) == 0.5
-        assert recall_at_n([RankResult(u, 1) for u in range(9)], 20) == 1.0
+        assert recall_at_n(np.array([3, 25]), 20) == 0.5
+        assert recall_at_n(np.ones(9, dtype=np.int64), 20) == 1.0
 
     def test_recall_at_full_catalog_is_one(self):
         rng = np.random.default_rng(1)
-        results = [RankResult(u, int(r)) for u, r in enumerate(rng.integers(1, 41, 30))]
-        assert recall_at_n(results, 40) == 1.0
+        assert recall_at_n(rng.integers(1, 41, 30), 40) == 1.0
 
     def test_ndcg_examples(self):
-        assert ndcg_at_n([RankResult(0, 1)], 20) == pytest.approx(1.0)
-        assert ndcg_at_n([RankResult(0, 3)], 20) == pytest.approx(0.5)
-        assert ndcg_at_n([RankResult(0, 1), RankResult(1, 3)], 20) == pytest.approx(0.75)
+        assert ndcg_at_n(np.array([1]), 20) == pytest.approx(1.0)
+        assert ndcg_at_n(np.array([3]), 20) == pytest.approx(0.5)
+        assert ndcg_at_n(np.array([1, 3]), 20) == pytest.approx(0.75)
 
     def test_ndcg_never_exceeds_recall(self):
         rng = np.random.default_rng(2)
-        results = [RankResult(u, int(r)) for u, r in enumerate(rng.integers(1, 60, 50))]
+        ranks = rng.integers(1, 60, 50)
         for n in (1, 5, 20, 59):
-            assert ndcg_at_n(results, n) <= recall_at_n(results, n) + 1e-15
+            assert ndcg_at_n(ranks, n) <= recall_at_n(ranks, n) + 1e-15
 
     def test_empty_and_bad_n(self):
-        with pytest.raises(EvalError):
-            recall_at_n([], 10)
-        with pytest.raises(EvalError):
-            ndcg_at_n([], 10)
-        with pytest.raises(EvalError):
-            recall_at_n([RankResult(0, 1)], 0)
+        for metric in (recall_at_n, ndcg_at_n):
+            for bad in ([], np.array([], dtype=np.int64)):
+                with pytest.raises(EvalError):
+                    metric(bad, 10)
+            for n in (0, -1):
+                with pytest.raises(EvalError):
+                    metric(np.array([1]), n)
+            with pytest.raises(EvalError):  # (user, rank) pairs are not a rank array
+                metric([RankResult(0, 1), RankResult(1, 3)], 5)
 
     def test_uniform_scores_hit_rate(self):
         # with i.i.d. scores the held-out rank is uniform on 1..M, so
         # recall@N concentrates around N/M
         rng = np.random.default_rng(3)
         n_users, n_items, n = 4000, 40, 8
-        ranks = [RankResult(u, int(rng.integers(1, n_items + 1))) for u in range(n_users)]
+        ranks = np.array([rng.integers(1, n_items + 1) for u in range(n_users)])
         p = n / n_items
         sigma = np.sqrt(p * (1 - p) / n_users)
         assert abs(recall_at_n(ranks, n) - p) < 5 * sigma
@@ -259,6 +284,42 @@ class TestEvaluate:
         # the score buffer is the budget and its mask an eighth of it
         assert self.rank_all_peak_bytes() < 1.5 * odecf.evaluation._BLOCK_BYTES
 
+    def test_evaluate_builds_no_rank_results(self, monkeypatch):
+        built = []
+
+        class Counted(RankResult):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(odecf.evaluation, "RankResult", Counted)
+        ds = synthetic_split(n_users=11, n_items=10, seed=12)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items * 3)
+        fe = np.random.default_rng(13).normal(size=(ds.n_users + ds.n_items, 4))
+        for mode in ("validation", "test"):
+            evaluate(fe, ds, mode, [1, 5, 20])
+            assert built == []
+            ranks = rank_all(fe, ds, mode).ranks
+            results = list(rank_all(fe, ds, mode))
+            assert len(built) == ds.n_users  # the view builds its results on iteration only
+            assert ranks.dtype == np.int64 and not ranks.flags.writeable
+            assert ranks.tolist() == [r.rank for r in results]
+            assert [r.user for r in results] == list(range(ds.n_users))
+            assert all(type(r.user) is int and type(r.rank) is int for r in results)
+            built.clear()
+
+    def test_rank_view_indexes_like_a_list(self):
+        ds = synthetic_split(n_users=7, n_items=10, seed=12)
+        fe = np.random.default_rng(13).normal(size=(ds.n_users + ds.n_items, 4))
+        view = rank_all(fe, ds, "test")
+        results = list(view)
+        assert len(view) == ds.n_users
+        assert [view[u] for u in range(-ds.n_users, ds.n_users)] == results + results
+        assert type(view[np.int64(2)].rank) is int
+        for index in (ds.n_users, -ds.n_users - 1):
+            with pytest.raises(IndexError):
+                view[index]
+
     def test_scale_invariance_of_ranks(self):
         ds = synthetic_split(n_users=10, n_items=12, seed=9)
         fe = np.random.default_rng(10).normal(size=(ds.n_users + ds.n_items, 5))
@@ -269,12 +330,12 @@ class TestEvaluate:
 
     def test_permutation_invariance_of_aggregates(self):
         rng = np.random.default_rng(11)
-        results = [RankResult(u, int(r)) for u, r in enumerate(rng.integers(1, 30, 40))]
-        shuffled = list(results)
+        ranks = rng.integers(1, 30, 40)
+        shuffled = ranks.copy()
         rng.shuffle(shuffled)
-        assert recall_at_n(results, 10) == recall_at_n(shuffled, 10)
+        assert recall_at_n(ranks, 10) == recall_at_n(shuffled, 10)
         # equal up to float summation order
-        assert ndcg_at_n(results, 10) == pytest.approx(ndcg_at_n(shuffled, 10), abs=1e-12)
+        assert ndcg_at_n(ranks, 10) == pytest.approx(ndcg_at_n(shuffled, 10), abs=1e-12)
 
     def test_test_mode_excludes_the_validation_item(self):
         # one user: train {0}, val 1, test 2; a third item 3 pads the catalog.
