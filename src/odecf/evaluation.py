@@ -5,22 +5,32 @@ The held-out item is ranked against every item the user has not trained on
 score descending, then item id ascending, so a target's rank is 1 + the items
 scoring strictly above it + the tied items with a smaller id.
 
-``rank_all`` scores users in blocks of at most ``_BLOCK_BYTES`` (8 MiB; see
-there why no smaller). Each call allocates one float64 score buffer and one
-bool mask of that block's shape and reuses both for every block. A block is
-first screened in float32: the GEMM writes float32 scores into the first half
-of the buffer's bytes, excluded items are set to -inf there, and two compare
-passes count, per user, the items scoring above the target by more than the
-user's proven error margin (``_screen_margins``) and those scoring below it
-by more. When these two counts cover every other item, no float64 evaluation
-of the scores can order the target differently, and the rank is 1 + the
-first count. The users the screen cannot certify (near-ties, exact ties,
-scores that could overflow or underflow float32) are scored again in
-float64 into the same buffer, with excluded items set to NaN, and ranked by
-the one exact routine, ``_ranks``, which ``rank_heldout`` also uses: two
-compare passes into the mask, one counting the strict winners per row, the
-other finding the ties, of which only those left of the target's column
-count.
+``rank_all(fe, ds, mode, depth)`` returns each user's rank as
+``min(rank, depth + 1)``, which is all Recall@N and NDCG@N read for
+N <= depth; without ``depth`` the ranks are exact. Each call first allocates
+one float64 score buffer of at most ``_BLOCK_BYTES`` (8 MiB; see there why
+no smaller) and one bool mask of as many cells, and reuses both throughout.
+Users are first screened in float32, over item chunks in descending
+float32-norm order, the items likeliest to beat a target first: the first
+chunk is as many items as the first half of the buffer's bytes holds float32
+scores for every user, and each later chunk doubles the scanned prefix
+(without ``depth``, one whole-catalog chunk). A chunk is scored in user
+blocks that fit that half, excluded items are set to -inf there, and two
+compare passes add, per user, the items scoring above the target by more
+than the user's proven error margin (``_screen_margins``) and those scoring
+below it by more. The target's float32 score comes once from an einsum; the
+margin bounds any float32 evaluation order, so the GEMM's own score for the
+target column falls in neither count. A user whose above-count reaches
+``depth`` leaves the scan: its rank is past ``depth``. After the last chunk,
+a user whose two counts cover every other item is certified, for no float64
+evaluation of the scores can order the target differently, and its rank is
+1 + the first count. The users the screen cannot certify (near-ties, exact
+ties, scores that could overflow or underflow float32) are scored again in
+float64 into the same buffer, in item-id order with excluded items set to
+NaN, and ranked by the one exact routine, ``_ranks``, which ``rank_heldout``
+also uses: two compare passes into the mask, one counting the strict winners
+per row, the other finding the ties, of which only those left of the
+target's column count.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
 reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
@@ -144,10 +154,12 @@ def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
     return RankResult(user, int(rank[0]))
 
 
-def _screen_margins(fe32: np.ndarray, n_users: int) -> np.ndarray:
-    """Per-user float32 margins M: when two items' float32 scores for a user
-    differ by more than M, every float64 evaluation of the two scores orders
-    them the same way. M is +inf where the screen cannot bound the scores.
+def _screen_margins(norms: np.ndarray, n_users: int, d: int) -> np.ndarray:
+    """Per-user float32 margins M from the float32 rows' 2-norms ``norms``
+    (users first, then items) and the embedding width d: when two items'
+    float32 scores for a user differ by more than M, every float64 evaluation
+    of the two scores orders them the same way. M is +inf where the screen
+    cannot bound the scores.
 
     Write x^ for the float32 rounding of a float64 entry x, e = 2^-24 for the
     float32 unit roundoff, n = 2^-126 for the absolute error of one rounding
@@ -176,8 +188,6 @@ def _screen_margins(fe32: np.ndarray, n_users: int) -> np.ndarray:
     score overflows while S < 2^126; the other users get M = +inf. So do
     users whose float32 row is non-finite, for their S is then inf or NaN.
     """
-    d = fe32.shape[1]
-    norms = np.sqrt(np.einsum("ij,ij->i", fe32, fe32, dtype=np.float64))
     users, items = norms[:n_users], norms[n_users:].max()
     with np.errstate(over="ignore", invalid="ignore"):
         reach = users * items
@@ -187,91 +197,111 @@ def _screen_margins(fe32: np.ndarray, n_users: int) -> np.ndarray:
         return np.nextafter(margins.astype(np.float32), np.float32(np.inf))
 
 
-def _screen(block: np.ndarray, targets: np.ndarray, margins: np.ndarray,
-            mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(certified, rank) per row of a float32 score ``block`` whose excluded
-    columns hold -inf. A row is certified when every column other than the
-    target scores above ``target + margin`` or below ``target - margin``
-    (thresholds rounded outward and finite); its rank is then 1 + the
-    columns above. NaN scores fall in neither count, so their row is not
-    certified. ``mask`` is bool scratch of ``block``'s shape."""
-    height, width = block.shape
-    target_scores = block[np.arange(height), targets]
-    with np.errstate(over="ignore", invalid="ignore"):
-        upper = np.nextafter(target_scores + margins, np.float32(np.inf))
-        lower = np.nextafter(target_scores - margins, np.float32(-np.inf))
-    # a uint8 sum into uint16 takes about half the time of int32 and holds any count below 2^16
-    count = np.uint16 if width < 1 << 16 else np.int32
-    np.greater(block, upper[:, None], out=mask)
-    above = np.add.reduce(mask.view(np.uint8), axis=1, dtype=count)
-    np.less(block, lower[:, None], out=mask)
-    below = np.add.reduce(mask.view(np.uint8), axis=1, dtype=count)
-    certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == width - 1)
-    return certified, 1 + above
+def _excluded(users: np.ndarray, n_users: int, owners: np.ndarray, items: np.ndarray,
+              width: int) -> np.ndarray:
+    """Flat cells ``row * width + item`` of the excluded (owner, item) pairs
+    whose owner is ``users[row]``, rows ascending when ``owners`` ascend."""
+    slot = np.full(n_users, -1)
+    slot[users] = np.arange(len(users))
+    rows = slot[owners]
+    return (rows * width + items)[rows >= 0]
 
 
-def _excluded(ds: SplitDataset, users: np.ndarray, with_validation: bool):
-    """(row, item) index arrays of the items excluded for each user
-    ``users[row]``: the train items, and the validation item when asked."""
-    starts = ds.train_indptr[users]
-    counts = ds.train_indptr[users + 1] - starts
-    rows = np.repeat(np.arange(len(users)), counts)
-    first = np.cumsum(counts) - counts  # where each user's items start in ``rows``
-    items = ds.train_items[np.repeat(starts - first, counts) + np.arange(len(rows))]
-    if with_validation:
-        rows = np.concatenate([rows, np.arange(len(users))])
-        items = np.concatenate([items, ds.validation[users]])
-    return rows, items
+def _block_cells(cells: np.ndarray, start: int, stop: int, width: int) -> np.ndarray:
+    """The ``cells`` in rows [start, stop), as flat cells of a block whose row 0 is ``start``."""
+    i, j = np.searchsorted(cells, (start * width, stop * width))
+    return cells[i:j] - start * width
 
 
 # Budget of the one user-by-item score buffer of a rank_all call (its bool mask
 # adds an eighth). The buffer is freed when the call returns; a smaller freed
 # buffer lowers glibc's heap-trim threshold, and at 4 MiB later training steps
 # page-faulted 4-12x more, so the budget stays at 8 MiB. For the same reason
-# the float32 screen block is a view of the first half of this buffer's bytes:
+# the float32 screen blocks are views of the first half of this buffer's bytes:
 # a float32 buffer of its own made some later epochs fault up to 6x more.
 _BLOCK_BYTES = 8 << 20
 
 
-def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str) -> RankView:
-    """Held-out ranks for every user, scored in user blocks of at most
-    ``_BLOCK_BYTES`` (one user at least) in one reused buffer: screened in
-    float32, and scored again in float64 where the screen cannot certify.
+def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = None) -> RankView:
+    """Held-out ranks for every user, ``min(rank, depth + 1)`` when ``depth``
+    is given: screened in float32 over item chunks in descending norm order,
+    each chunk in user blocks of at most ``_BLOCK_BYTES`` in one reused
+    buffer, and scored again in float64 where the screen cannot certify.
 
     Candidates are the items the user has not trained on; in test mode the
     user's validation item is excluded too."""
     if mode not in ("validation", "test"):
         raise EvalError(f"mode must be 'validation' or 'test', got {mode!r}")
     fe = _check_embeddings(fe, ds)
-    targets = ds.validation if mode == "validation" else ds.test
-    with_validation = mode == "test"
     n_users, n_items = ds.n_users, ds.n_items
-    item_rows = fe[n_users:]
+    depth = n_items if depth is None else depth  # no rank exceeds n_items
+    if depth < 1:
+        raise EvalError(f"depth must be >= 1, got {depth}")
+    targets = ds.validation if mode == "validation" else ds.test
     height = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items)))
+    room = height * n_items  # float32 cells of the screen, bools of the mask
     # the buffer before the float32 copy: the other order made the next training epoch page-fault more
     scores = np.empty((height, n_items))
-    mask = np.empty((height, n_items), dtype=bool)
+    mask = np.empty(room, dtype=bool)
+    screen = scores.reshape(-1).view(np.float32)[:room]
     with np.errstate(over="ignore"):  # float32 infinities get an infinite margin
         fe32 = fe.astype(np.float32)
-    margins = _screen_margins(fe32, n_users)
-    screen = scores.reshape(-1).view(np.float32)[: height * n_items].reshape(height, n_items)
-    ranks = np.empty(n_users, dtype=np.int64)
-    certified = np.empty(n_users, dtype=bool)
-    for lo in range(0, n_users, height):
-        hi = min(lo + height, n_users)
-        block = screen[: hi - lo]
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows are not certified
-            np.matmul(fe32[lo:hi], fe32[n_users:].T, out=block)
-        block[_excluded(ds, np.arange(lo, hi), with_validation)] = -np.inf
-        certified[lo:hi], ranks[lo:hi] = _screen(block, targets[lo:hi], margins[lo:hi], mask[: hi - lo])
-    rest = np.flatnonzero(~certified)
-    for lo in range(0, len(rest), height):
-        users = rest[lo : lo + height]
-        block = scores[: len(users)]
+    norms = np.sqrt(np.einsum("ij,ij->i", fe32, fe32, dtype=np.float64))
+    margins = _screen_margins(norms, n_users, fe.shape[1])
+    order = np.argsort(-norms[n_users:], kind="stable")  # items likeliest to beat a target first
+    items32 = fe32[n_users + order]
+    position = np.empty(n_items, dtype=np.int64)
+    position[order] = np.arange(n_items)
+    counts, excluded = np.diff(ds.train_indptr), ds.train_items
+    if mode == "test":  # each user's validation item after its train items
+        counts, excluded = counts + 1, np.insert(excluded, ds.train_indptr[1:], ds.validation)
+    owners = np.repeat(np.arange(n_users), counts)
+    columns = position[excluded]
+    # chunk k is positions [bounds[k], bounds[k + 1]): first as many as the screen holds for
+    # every user, then doubling the prefix; one chunk when no user can leave early
+    bounds = [0, n_items if depth >= n_items else max(1, room // max(n_users, 1))]
+    while bounds[-1] < n_items:
+        bounds.append(min(2 * bounds[-1], n_items))
+    chunk_of = np.repeat(np.arange(1, len(bounds), dtype=np.uint8), np.diff(bounds))[columns]
+    by = np.argsort(chunk_of, kind="stable")  # by chunk (k + 1 for chunk k), then by owner
+    splits = np.cumsum(np.bincount(chunk_of, minlength=len(bounds)))
+    with np.errstate(over="ignore", invalid="ignore"):  # such users are not certified
+        target32 = np.einsum("ij,ij->i", fe32[:n_users], fe32[n_users + targets])
+        upper = np.nextafter(target32 + margins, np.float32(np.inf))
+        lower = np.nextafter(target32 - margins, np.float32(-np.inf))
+    # a uint8 sum into uint16 takes about half the time of int32 and holds any count below 2^16
+    count = np.uint16 if n_items < 1 << 16 else np.int32
+    above, below = np.zeros(n_users, dtype=count), np.zeros(n_users, dtype=count)
+    users = np.arange(n_users)
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        width, chunk = hi - lo, by[splits[k] : splits[k + 1]]
+        cells = _excluded(users, n_users, owners[chunk], columns[chunk] - lo, width)
+        step = max(1, room // width)
+        for start in range(0, len(users), step):
+            part = users[start : start + step]
+            block = screen[: len(part) * width].reshape(len(part), width)
+            with np.errstate(over="ignore", invalid="ignore"):  # such rows are not certified
+                np.matmul(fe32[part], items32[lo:hi].T, out=block)
+            screen[_block_cells(cells, start, start + len(part), width)] = -np.inf
+            # the target's own column lies within its margin, so neither count takes it
+            flags = mask[: block.size].reshape(block.shape)
+            np.greater(block, upper[part, None], out=flags)
+            above[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
+            np.less(block, lower[part, None], out=flags)
+            below[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
+        users = users[above[users] < depth]  # the others rank past depth
+    certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1)
+    ranks = 1 + above.astype(np.int64)
+    rest = np.flatnonzero(~certified & (above < depth))
+    cells = _excluded(rest, n_users, owners, excluded, n_items)
+    for start in range(0, len(rest), height):
+        part = rest[start : start + height]
+        block = scores[: len(part)]
         with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
-            np.matmul(fe[users], item_rows.T, out=block)
-        block[_excluded(ds, users, with_validation)] = np.nan
-        ranks[users] = _ranks(block, targets[users], mask[: len(users)])
+            np.matmul(fe[part], fe[n_users:].T, out=block)
+        block.reshape(-1)[_block_cells(cells, start, start + len(part), n_items)] = np.nan
+        ranks[part] = _ranks(block, targets[part], mask[: block.size].reshape(block.shape))
+    np.minimum(ranks, depth + 1, out=ranks)
     return RankView(ranks)
 
 
@@ -305,9 +335,12 @@ def ndcg_at_n(ranks, n: int) -> float:
 
 def evaluate(fe: np.ndarray, ds: SplitDataset, mode: str, n_values) -> MetricsReport:
     """Rank every user's held-out item (``rank_all``: train items excluded, and
-    the validation item in test mode) and aggregate both metrics per N."""
-    ranks = rank_all(fe, ds, mode).ranks
+    the validation item in test mode) as deep as the largest N, and aggregate
+    both metrics per N."""
     n_values = [int(n) for n in n_values]
+    if not n_values or min(n_values) < 1:
+        raise EvalError(f"cutoffs N must be a non-empty list of N >= 1, got {n_values}")
+    ranks = rank_all(fe, ds, mode, depth=max(n_values)).ranks
     return MetricsReport(
         n_values=n_values,
         recall=[recall_at_n(ranks, n) for n in n_values],

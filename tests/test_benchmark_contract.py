@@ -6,6 +6,7 @@ built on it silently disappears, so a rename must fail here instead.
 
 import importlib
 import importlib.util
+import inspect
 import warnings
 from pathlib import Path
 
@@ -53,18 +54,32 @@ def test_adjacency_and_ranks_keep_their_shape():
 
 
 def test_evaluate_ranks_through_rank_all_once(monkeypatch):
-    """``eval.rank_s`` and ``eval.users_per_s`` time ``rank_all`` inside ``evaluate``."""
+    """``eval.rank_s`` and ``eval.users_per_s`` time ``rank_all`` inside ``evaluate``,
+    which ranks as deep as its largest N."""
     ds = synthetic_split(n_users=6, n_items=8, seed=1)
     fe = np.random.default_rng(2).normal(size=(ds.n_users + ds.n_items, 3))
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(inspect.signature(rank_all).bind(*args, **kwargs).arguments)
         return rank_all(*args, **kwargs)
 
     monkeypatch.setattr(odecf.evaluation, "rank_all", counted)
     odecf.evaluation.evaluate(fe, ds, "validation", [1, 5])
     assert len(calls) == 1
+    assert calls[0]["depth"] == 5
+
+
+def test_three_argument_rank_all_ranks_past_21():
+    """``run.py`` and ``selftest.py`` check ``rank_all(fe, ds, "test")`` against a brute
+    force, so without ``depth`` it ranks to the end of the catalog."""
+    ds = synthetic_split(n_users=6, n_items=60, seed=1)
+    fe = np.zeros((ds.n_users + ds.n_items, 1))
+    fe[:ds.n_users] = 1.0
+    fe[ds.n_users:, 0] = 1.0 + np.arange(ds.n_items)
+    fe[ds.n_users + ds.test, 0] = 0.0  # every other candidate beats the test items
+    ranks = [r.rank for r in rank_all(fe, ds, "test")]
+    assert min(ranks) > 21
 
 
 def test_state_calls_keep_their_form():

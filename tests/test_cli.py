@@ -176,9 +176,9 @@ class TestRunExperiment:
                                                           monkeypatch, capsys, extra):
         modes = []
 
-        def counted(fe, ds, mode, *args):
+        def counted(fe, ds, mode, *args, **kwargs):
             modes.append(mode)
-            return rank_all(fe, ds, mode, *args)
+            return rank_all(fe, ds, mode, *args, **kwargs)
 
         monkeypatch.setattr(odecf.evaluation, "rank_all", counted)
         cfg = load_config(overrides=fast_overrides(raw_file, tmp_path / "run",

@@ -460,6 +460,120 @@ class TestFloat32Screen:
         assert np.all(np.isnan(passed[0]) | (passed[0] == 0.0))
 
 
+class TestDepth:
+    """rank_all(..., depth=n) scans items in descending float32-norm order and
+    drops a user once n items provably beat its target; every rank must still
+    equal min(full rank, n + 1)."""
+
+    @pytest.mark.parametrize("height", [1, 3, None])  # users per full-width block; None: 8 MiB
+    @pytest.mark.parametrize("kind", ["integer", "normal", "scaled-up", "scaled-down"])
+    def test_depth_caps_the_full_ranks(self, monkeypatch, kind, height):
+        # 30 users over 200 items: a one-user budget gives chunks of 6, 6, 12, 24, 48, 96 and
+        # 8 items, the wider ones in several user blocks; scaled rows cannot be certified
+        for seed in range(3):
+            ds = synthetic_split(n_users=30, n_items=200, seed=40 + seed)
+            if height:
+                monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items * height)
+            rng = np.random.default_rng(50 + seed)
+            shape = (ds.n_users + ds.n_items, 4)
+            fe = (rng.integers(-2, 3, size=shape).astype(np.float64) if kind == "integer"
+                  else rng.normal(size=shape) * {"normal": 1.0, "scaled-up": 1e30,
+                                                 "scaled-down": 1e-30}[kind])
+            for mode in ("validation", "test"):
+                full = rank_all(fe, ds, mode).ranks
+                assert full.tolist() == lexsort_ranks(fe, ds, mode)
+                for n in (1, 3, 10, 20):
+                    assert np.array_equal(rank_all(fe, ds, mode, depth=n).ranks,
+                                          np.minimum(full, n + 1))
+
+    @staticmethod
+    def layered():
+        """4 users over 64 items. Items 48-63 have norms 100-115, so a one-user
+        budget (chunks of 16, 16 and 32 items) scans them first: users 0 and 1
+        score them 100 to 115, above every other item, and users 2 and 3 score
+        them -100 to -115. Items 0-47 score -0.9 to 0.9 and hold the targets.
+        A third coordinate names the user and adds nothing."""
+        rng = np.random.default_rng(33)
+        fe = np.zeros((4 + 64, 3))
+        fe[:4, 0] = 1.0
+        fe[:4, 1] = [1.0, 1.0, -1.0, -1.0]
+        fe[:4, 2] = np.arange(4)
+        fe[4 + 48 :, 1] = 100.0 + np.arange(16)
+        fe[4 : 4 + 48, 0] = rng.permutation(np.linspace(-0.9, 0.9, 48))
+        small = np.argsort(fe[4 : 4 + 48, 0])  # items 0-47 by score, ascending
+        ds = simple_ds([[48 + u, int(small[u])] for u in range(4)], 64,
+                       validation=[int(small[10 + u]) for u in range(4)],
+                       test=[int(small[30 + u]) for u in range(4)])
+        return fe, ds
+
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_target_in_a_later_chunk_than_its_winners(self, monkeypatch, mode):
+        fe, ds = self.layered()
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
+        monkeypatch.setattr(odecf.evaluation, "_ranks", None)  # every user is certified
+        full = lexsort_ranks(fe, ds, mode)
+        assert min(full[:2]) > 16  # 15 winners in the first chunk, the target in a later one
+        for depth in (1, 3, 15, 16, 20, None):
+            got = rank_all(fe, ds, mode, depth=depth).ranks
+            assert got.tolist() == (full if depth is None else np.minimum(full, depth + 1).tolist())
+
+    def test_users_past_depth_in_the_first_chunk_score_no_further(self, monkeypatch):
+        fe, ds = self.layered()
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
+        scored = []  # (users, items) of each float32 block
+        real_matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            if a.dtype == np.float32:
+                scored.append((a[:, 2].astype(int).tolist(), b.shape[1]))
+            return real_matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rank_all(fe, ds, "validation", depth=3)
+        assert scored[0] == ([0, 1, 2, 3], 16)
+        assert scored[1:] and all(users == [2, 3] for users, _ in scored[1:])
+        scored.clear()
+        rank_all(fe, ds, "validation")  # one whole-catalog chunk
+        assert scored == [([u], 64) for u in range(4)]
+
+    @pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_target_column_and_threshold_are_separate_float32_evaluations(self, monkeypatch,
+                                                                          shift, mode):
+        # the target's score 2^24 + 1 - 2^24 = 1 is 0 or 1 in float32 by summation
+        # order, so the GEMM's score of its column may differ from the einsum's by
+        # 1; a shift of the einsum's result by one order's difference makes them
+        # differ for certain, and the column must still fall in neither count
+        n_items = 41
+        fe = np.zeros((1 + n_items, 3))
+        fe[0] = 1.0
+        fe[1:, 0] = 100.0 * np.arange(-20, 21)
+        target = 20  # scores 0 in the first coordinate
+        fe[1 + target] = [2.0**24, 1.0, -2.0**24]
+        held_out = {"validation": dict(validation=[target], test=[7]),
+                    "test": dict(validation=[7], test=[target])}[mode]
+        ds = simple_ds([[3, 35]], n_items, **held_out)
+        real_einsum = np.einsum
+
+        def einsum(*args, **kwargs):
+            out = real_einsum(*args, **kwargs)
+            return out + np.float32(shift) if out.dtype == np.float32 else out
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(odecf.evaluation, "_ranks", None)  # the user is certified
+        assert lexsort_ranks(fe, ds, mode) == [20]  # items 21-40 beat it, less the excluded 35
+        for depth, want in ((None, 20), (40, 20), (19, 20), (5, 6)):
+            assert rank_all(fe, ds, mode, depth=depth).ranks.tolist() == [want]
+
+    @pytest.mark.parametrize("bad", [[0], [], [20, -1]])
+    def test_evaluate_checks_cutoffs_before_ranking(self, monkeypatch, bad):
+        ds = synthetic_split(n_users=6, n_items=8, seed=3)
+        fe = np.random.default_rng(4).normal(size=(ds.n_users + ds.n_items, 3))
+        monkeypatch.setattr(odecf.evaluation, "rank_all", None)  # not called
+        with pytest.raises(EvalError, match="cutoffs"):
+            evaluate(fe, ds, "test", bad)
+
+
 def test_metrics_report_lookup():
     report = MetricsReport(n_values=[10, 20], recall=[0.1, 0.2], ndcg=[0.05, 0.07],
                            users_evaluated=3)
