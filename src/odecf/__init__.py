@@ -32,14 +32,12 @@ from .evaluation import (
 )
 from .graph import GraphError, SparseAdjacency, build_adjacency, spmm
 from .model import (
-    LightGCNState,
     ModelError,
     ModelState,
     SolverConfig,
     SolverError,
     final_embeddings,
     init_embeddings,
-    lightgcn_forward,
 )
 from .train import (
     GradientSet,

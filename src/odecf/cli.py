@@ -1,8 +1,9 @@
 """Experiment runner: data preparation, training, evaluation, sweeps and gradient checks.
 
 Configuration is a flat key=value text file; any field can be overridden on
-the command line with --set key=value. Exit codes: 0 success, 1 configuration
-error, 2 runtime error.
+the command line with --set key=value. ``method`` picks the model: euler or
+rk4 for GODE-CF, lightgcn for the baseline; ``n_hops`` is its highest power of
+the adjacency. Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .data import (
 )
 from .evaluation import MetricsReport, evaluate, write_metrics_csv
 from .graph import build_adjacency
-from .model import (
-    LightGCNState,
-    ModelState,
-    SolverConfig,
-    final_embeddings,
-    init_embeddings,
-)
+from .model import ModelState, SolverConfig, final_embeddings, init_embeddings
 from .train import (
     TrainConfig,
     TrainError,
@@ -53,7 +48,6 @@ EXIT_RUNTIME = 2
 
 OUTPUT_ROOT_ENV = "ODECF_OUTPUT_ROOT"
 
-_MODELS = ("gode_cf", "lightgcn")
 GRADCHECK_TOLERANCE = 1e-5
 
 
@@ -65,13 +59,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     dataset: str = ""
     columns: str = "user,item,time"
-    model: str = "gode_cf"
     method: str = "euler"
     t1: float = 0.9
     steps: int = 1
     n_hops: int = 2
     use_weights: bool = False
-    n_layers: int = 2
     dims: int = 128
     init_std: float = 0.1
     learning_rate: float = 0.001
@@ -104,16 +96,12 @@ class ExperimentConfig:
             column_positions(self.columns)
         except DataError as exc:
             raise ConfigError(f"field 'columns': {exc}") from exc
-        if self.model not in _MODELS:
-            raise ConfigError(f"field 'model': expected one of {_MODELS}, got {self.model!r}")
         if self.dims < 1:
             raise ConfigError(f"field 'dims': must be >= 1, got {self.dims}")
         if not self.init_std > 0:
             raise ConfigError(f"field 'init_std': must be > 0, got {self.init_std}")
         if self.k_core < 1:
             raise ConfigError(f"field 'k_core': must be >= 1, got {self.k_core}")
-        if self.n_layers < 0:
-            raise ConfigError(f"field 'n_layers': must be >= 0, got {self.n_layers}")
         self.eval_n_list()
         try:
             self.solver_config()
@@ -232,9 +220,7 @@ def build_dataset(cfg: ExperimentConfig):
 def build_state(cfg: ExperimentConfig, ds):
     adjacency = build_adjacency(ds, allow_isolated_items=True)
     e0 = init_embeddings(ds.n_users + ds.n_items, cfg.dims, cfg.init_std, cfg.seed)
-    if cfg.model == "gode_cf":
-        return ModelState.create(e0, adjacency, cfg.solver_config())
-    return LightGCNState.create(e0, adjacency, cfg.n_layers)
+    return ModelState.create(e0, adjacency, cfg.solver_config())
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -432,11 +418,7 @@ def _cmd_evaluate(args) -> int:
     ds, _ = build_dataset(cfg)
     adjacency = build_adjacency(ds, allow_isolated_items=True)
     e0, weights, meta = load_checkpoint(resolve_outdir(args.checkpoint))
-    if cfg.model == "gode_cf":
-        state = ModelState(e0=e0, hop_weights=weights, adjacency=adjacency,
-                           solver=cfg.solver_config())
-    else:
-        state = LightGCNState.create(e0, adjacency, cfg.n_layers)
+    state = ModelState(e0=e0, hop_weights=weights, adjacency=adjacency, solver=cfg.solver_config())
     report = evaluate(final_embeddings(state), ds, args.mode, cfg.eval_n_list())
     for n, recall, ndcg in zip(report.n_values, report.recall, report.ndcg):
         print(f"{args.mode} recall@{n}={recall:.6f} ndcg@{n}={ndcg:.6f}")

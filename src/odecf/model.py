@@ -1,13 +1,13 @@
-"""Embedding dynamics: one fixed-grid Euler/RK4 propagation routine and the layer-combination baseline.
+"""Embedding dynamics: one propagation routine with three rules, Euler, RK4 and the LightGCN mean.
 
 The trainable state is the initial embedding matrix e0 (users stacked above
-items) plus optional per-hop scalar weights. The derivative of the dynamics is
-g(E) = c A^K E - E: K hops of the normalized adjacency A, scaled by the product
-c of the hop weights; it lives only inside the propagation routine. Euler, RK4
-and the baseline, the uniform mean of the layers A^l e0 for l = 0..K, all map
-e0 to the final embeddings by a symmetric polynomial p(A), so the exact reverse
-pass is p(A) applied to the cotangent, run by the same routine as the forward
-pass. The hop weights need one scalar more, dL/dc, and no tape.
+items) plus optional per-hop scalar weights. Under Euler and RK4 the
+derivative of the dynamics is g(E) = c A^K E - E: K hops of the normalized
+adjacency A, scaled by the product c of the hop weights, integrated on a fixed
+grid. The LightGCN baseline is the uniform mean of A^l e0 for l = 0..K. All
+three map e0 to the final embeddings by a symmetric polynomial p(A), so the
+exact reverse pass is p(A) applied to the cotangent, run by the same routine
+as the forward pass. The hop weights need one scalar more, dL/dc, and no tape.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ class SolverError(RuntimeError):
     """Raised when integration produces non-finite values."""
 
 
-_METHODS = ("euler", "rk4")
+_METHODS = ("euler", "rk4", "lightgcn")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-grid solver setup over [0, t1] with uniform step size t1/steps."""
+    """Propagation setup: a fixed grid over [0, t1] with uniform step size t1/steps,
+    or, for ``lightgcn``, the mean of A^0..A^K with K = ``n_hops`` >= 0; that rule
+    ignores ``t1`` and ``steps`` and takes no hop weights."""
 
     method: str = "euler"
     t1: float = 0.9
@@ -47,8 +49,11 @@ class SolverConfig:
             raise ModelError(f"integration end time must be positive and finite, got {self.t1}")
         if self.steps < 1:
             raise ModelError(f"step count must be >= 1, got {self.steps}")
-        if self.n_hops < 1:
-            raise ModelError(f"hop count must be >= 1, got {self.n_hops}")
+        least = 0 if self.method == "lightgcn" else 1
+        if self.n_hops < least:
+            raise ModelError(f"hop count must be >= {least} for {self.method}, got {self.n_hops}")
+        if self.method == "lightgcn" and self.use_weights:
+            raise ModelError("lightgcn takes no hop weights; set use_weights to false")
 
     @property
     def step_size(self) -> float:
@@ -87,20 +92,12 @@ class ModelState:
         )
 
 
-@dataclass(eq=False)
 class LightGCNState:
-    """Baseline state: the uniform mean of K propagation layers."""
+    """The benchmark's spelling of a lightgcn :class:`ModelState` with K = ``n_layers``."""
 
-    e0: np.ndarray
-    adjacency: SparseAdjacency
-    n_layers: int
-
-    @classmethod
-    def create(cls, e0, adjacency, n_layers) -> "LightGCNState":
-        return cls(e0=np.asarray(e0, dtype=np.float64), adjacency=adjacency, n_layers=n_layers)
-
-    def copy(self) -> "LightGCNState":
-        return LightGCNState(self.e0.copy(), self.adjacency, self.n_layers)
+    @staticmethod
+    def create(e0, adjacency, n_layers) -> ModelState:
+        return ModelState.create(e0, adjacency, SolverConfig(method="lightgcn", n_hops=n_layers))
 
 
 def _check_rows(emb: np.ndarray, adjacency: SparseAdjacency) -> np.ndarray:
@@ -130,18 +127,27 @@ def _gain(state: ModelState):
 
 
 def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None):
-    """Step any N x d matrix ``e`` through the solver grid; returns (result, aux).
+    """Map any N x d matrix ``e`` by the state's polynomial in A; returns (result, aux).
 
-    One step is e <- phi(M) e with M = h(c A^K - I): phi(x) = 1 + x for Euler
-    and its fourth-order Taylor polynomial for RK4. The whole map is a
-    symmetric polynomial in A, hence self-adjoint: the forward pass runs it on
-    e0, the reverse pass on the cotangent of the final embeddings.
+    One solver step is e <- phi(M) e with M = h(c A^K - I): phi(x) = 1 + x for
+    Euler and its fourth-order Taylor polynomial for RK4. LightGCN takes the
+    mean of A^0 e..A^K e instead, with aux None. Each map is a symmetric
+    polynomial in A, hence self-adjoint: the forward pass runs it on e0, the
+    reverse pass on the cotangent of the final embeddings.
 
     ``aux`` is what the hop-weight gradient needs and is None when the weights
     are off. Forward (``probe`` None) it is the tangent phi'(M) e_{s-1} of the
     last step; reverse it is <A^K e, probe>, read off the first hop product.
     """
     cfg = state.solver
+    e = _check_rows(e, state.adjacency)
+    if cfg.method == "lightgcn":
+        weight = 1.0 / (cfg.n_hops + 1)
+        acc, cur = weight * e, e
+        for _ in range(cfg.n_hops):
+            cur = spmm(state.adjacency, cur)
+            acc += weight * cur
+        return _check_finite(acc), None
     h = cfg.step_size
     c = _gain(state)
     aux = None
@@ -162,7 +168,6 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
         x += e
         return x
 
-    e = _check_rows(e, state.adjacency)
     forward = probe is None
     for step in range(cfg.steps):
         keep_tangent = forward and c is not None and step == cfg.steps - 1
@@ -193,32 +198,13 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
     return e, aux
 
 
-def lightgcn_forward(e0: np.ndarray, adjacency: SparseAdjacency, n_layers: int) -> np.ndarray:
-    """Layer-combination forward: E_f = sum_{l=0..K} A^l E_0 / (K + 1).
-
-    A symmetric polynomial in A, so it is also its own reverse pass.
-    """
-    if n_layers < 0:
-        raise ModelError(f"layer count must be >= 0, got {n_layers}")
-    weight = 1.0 / (n_layers + 1)
-    e0 = _check_rows(e0, adjacency)
-    acc = weight * e0
-    cur = e0
-    for _ in range(n_layers):
-        cur = spmm(adjacency, cur)
-        acc += weight * cur
-    return _check_finite(acc)
-
-
 def model_forward(state):
     """Final embeddings and the reverse pass's context: (fe, ctx).
 
     ctx is the one N x d tangent of the last solver step when hop weights
     train, and None otherwise.
     """
-    if isinstance(state, ModelState):
-        return _integrate(state, state.e0)
-    return lightgcn_forward(state.e0, state.adjacency, state.n_layers), None
+    return _integrate(state, state.e0)
 
 
 def model_backward(state, ctx, d_fe):
@@ -228,8 +214,6 @@ def model_backward(state, ctx, d_fe):
     weights get dL/dc = h * steps * <A^K d_fe, ctx> and
     dL/dw_k = (prod_{j != k} w_j) dL/dc.
     """
-    if not isinstance(state, ModelState):
-        return lightgcn_forward(d_fe, state.adjacency, state.n_layers), None
     cfg = state.solver
     if cfg.use_weights and ctx is None:
         raise ModelError("the hop-weight gradient needs the ctx returned by model_forward")

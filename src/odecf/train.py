@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitDataset, train_pairs
-from .model import ModelState, SolverError, model_backward, model_forward
+from .model import SolverError, model_backward, model_forward
 
 
 class TrainError(ValueError):
@@ -217,7 +217,7 @@ def adam_step(params, grads, opt: OptimizerState, lr: float) -> None:
 
 def _trainables(state):
     params = [state.e0]
-    if isinstance(state, ModelState) and state.hop_weights is not None:
+    if state.hop_weights is not None:
         params.append(state.hop_weights)
     return params
 
@@ -321,9 +321,8 @@ def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) 
 
     _write_replacing(paths[0], write_e0)
     text = f"epoch={epoch}\nmetric={metric!r}\nconfig_hash={config_hash}\n"
-    weights = getattr(state, "hop_weights", None)
-    if weights is not None:
-        text += "hop_weights=" + ",".join(repr(float(w)) for w in weights) + "\n"
+    if state.hop_weights is not None:
+        text += "hop_weights=" + ",".join(repr(float(w)) for w in state.hop_weights) + "\n"
     _write_replacing(paths[1], lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return paths
 

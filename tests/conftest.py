@@ -45,6 +45,11 @@ def make_state(ds, method="euler", t1=0.9, steps=1, n_hops=2, use_weights=False,
     return ModelState.create(e0, adjacency, solver)
 
 
+def lightgcn_state(e0, adjacency, n_hops):
+    """The LightGCN baseline's state: the mean of A^0 e0 .. A^K e0 with K = ``n_hops``."""
+    return ModelState.create(e0, adjacency, SolverConfig(method="lightgcn", n_hops=n_hops))
+
+
 def dense_hops(adj_dense, emb, n_hops, weights=None):
     """Dense reference for the propagation chain."""
     x = emb

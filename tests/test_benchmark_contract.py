@@ -83,10 +83,18 @@ def test_three_argument_rank_all_ranks_past_21():
 
 
 def test_state_calls_keep_their_form():
-    """The positional ``create`` calls, ``copy``, ``hop_weights`` and gradient fields of ``run.py``."""
+    """The positional ``create`` calls, ``copy``, ``hop_weights`` and gradient fields of ``run.py``.
+
+    ``LightGCNState.create`` survives only as the benchmark's factory for a lightgcn
+    ``ModelState``; ROADMAP item 2 moves ``run.py`` off it and removes it.
+    """
     ds = synthetic_split(n_users=6, n_items=8, seed=3)
     adj = build_adjacency(ds)
     e0 = init_embeddings(ds.n_users + ds.n_items, 3, 0.1, 4)
+    lightgcn = LightGCNState.create(e0, adj, 2)
+    assert type(lightgcn) is ModelState
+    assert lightgcn.solver.method == "lightgcn" and lightgcn.solver.n_hops == 2
+    assert lightgcn.hop_weights is None
     batch = sample_triplets(ds, 5, np.random.default_rng(5))
     solver = SolverConfig(method="rk4", t1=0.9, steps=1, n_hops=2, use_weights=True)
     for state, has_weights in ((LightGCNState.create(e0, adj, 2), False),

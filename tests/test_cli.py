@@ -108,6 +108,23 @@ class TestConfig:
         assert main(["train", "--config", str(cfg_file)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["model=lightgcn", "n_layers=3"])
+    def test_model_and_layer_fields_exit_naming_them(self, raw_file, tmp_path, capsys, pair):
+        argv = ["train"]
+        for item in fast_overrides(raw_file, tmp_path / "run") + [pair]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert repr(pair.split("=")[0]) in capsys.readouterr().err
+
+    def test_lightgcn_with_hop_weights_is_a_config_error(self, raw_file, tmp_path, capsys):
+        argv = ["train"]
+        for item in fast_overrides(raw_file, tmp_path / "run", method="lightgcn",
+                                   use_weights="true"):
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert "hop weights" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestRunExperiment:
     def test_pipeline_writes_everything(self, raw_file, tmp_path):
@@ -144,16 +161,16 @@ class TestRunExperiment:
 
     def test_lightgcn_and_gode_reports_are_comparable(self, raw_file, tmp_path):
         reports = {}
-        for model in ("gode_cf", "lightgcn"):
-            outdir = tmp_path / model
+        for method in ("euler", "lightgcn"):
+            outdir = tmp_path / method
             argv = ["train"]
-            for pair in fast_overrides(raw_file, outdir, model=model):
+            for pair in fast_overrides(raw_file, outdir, method=method):
                 argv += ["--set", pair]
             assert main(argv) == EXIT_OK
             lines = (outdir / "metrics.csv").read_text().splitlines()
-            reports[model] = lines
-        assert reports["gode_cf"][0] == reports["lightgcn"][0]
-        assert len(reports["gode_cf"]) == len(reports["lightgcn"])
+            reports[method] = lines
+        assert reports["euler"][0] == reports["lightgcn"][0]
+        assert len(reports["euler"]) == len(reports["lightgcn"])
 
     def test_divergence_in_first_epoch_fails_without_checkpoint(self, raw_file, tmp_path,
                                                                 capsys):
@@ -169,7 +186,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("extra", [
         dict(max_epochs=6, patience=2),  # best epoch 3 of 5
         dict(max_epochs=5, method="rk4", use_weights="true", learning_rate=0.05),  # 2 of 5
-        dict(max_epochs=4, model="lightgcn", learning_rate=0.1),  # 1 of 4
+        dict(max_epochs=4, method="lightgcn", learning_rate=0.1),  # 1 of 4
         dict(max_epochs=0),
     ], ids=["euler", "rk4-weighted", "lightgcn", "no-epochs"])
     def test_validation_rows_reuse_the_best_epochs_report(self, raw_file, tmp_path,
@@ -394,9 +411,20 @@ class TestSweep:
             ["n_hops", "1"], ["t1", "0.8"], ["t1", "0.9"]]
         assert "warning" not in capsys.readouterr().err
 
-    def test_bad_sweep_param(self, raw_file, tmp_path):
+    def test_bad_sweep_param(self, raw_file, tmp_path, capsys):
         rc = self.run_sweep_cli(raw_file, tmp_path / "s", "not_a_field", "1,2")
         assert rc == EXIT_CONFIG
+        rc = self.run_sweep_cli(raw_file, tmp_path / "s", "model", "gode_cf,lightgcn")
+        assert rc == EXIT_CONFIG
+        assert "'model'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_method_sweep_tables_the_three_models(self, raw_file, tmp_path):
+        outdir = tmp_path / "sweep_method"
+        assert self.run_sweep_cli(raw_file, outdir, "method", "euler,rk4,lightgcn") == EXIT_OK
+        lines = (outdir / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["method", "euler"], ["method", "lightgcn"], ["method", "rk4"]]
 
     def test_relative_output_root(self, raw_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

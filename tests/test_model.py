@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import dense_hops, make_state
-from odecf.graph import build_adjacency
+from conftest import dense_hops, lightgcn_state, make_state
+from odecf.graph import build_adjacency, spmm
 from odecf.model import (
-    LightGCNState,
     ModelError,
     ModelState,
     SolverConfig,
     SolverError,
     final_embeddings,
     init_embeddings,
-    lightgcn_forward,
     model_backward,
     model_forward,
 )
@@ -32,6 +30,11 @@ class TestSolverConfig:
             SolverConfig(steps=0)
         with pytest.raises(ModelError):
             SolverConfig(n_hops=0)
+        with pytest.raises(ModelError, match="hop count"):
+            SolverConfig(method="rk4", n_hops=0)
+        assert SolverConfig(method="lightgcn", n_hops=0).n_hops == 0  # scores with e0
+        with pytest.raises(ModelError, match="hop weights"):
+            SolverConfig(method="lightgcn", use_weights=True)
         assert SolverConfig(t1=0.8, steps=4).step_size == pytest.approx(0.2)
 
     def test_state_weight_consistency(self):
@@ -173,43 +176,63 @@ class TestIntegrate:
             model_backward(state, None, np.ones_like(state.e0))
 
 
+def layer_mean_loop(e0, adjacency, n_layers):
+    """The former standalone LightGCN forward, kept as the reference its rule must equal."""
+    weight = 1.0 / (n_layers + 1)
+    acc = weight * e0
+    cur = e0
+    for _ in range(n_layers):
+        cur = spmm(adjacency, cur)
+        acc += weight * cur
+    return acc
+
+
 class TestLightGCN:
     def test_zero_layers(self, small_adj):
         e0 = np.random.default_rng(0).normal(size=(small_adj.n_nodes, 3))
-        out = lightgcn_forward(e0, small_adj, 0)
+        out = final_embeddings(lightgcn_state(e0, small_adj, 0))
         assert np.array_equal(out, 1.0 * e0)
 
     def test_matches_dense_oracle(self, small_adj):
         e0 = np.random.default_rng(1).normal(size=(small_adj.n_nodes, 4))
         dense = small_adj.to_scipy().toarray()
-        out = lightgcn_forward(e0, small_adj, 2)
+        out = final_embeddings(lightgcn_state(e0, small_adj, 2))
         oracle = (e0 + dense @ e0 + dense @ (dense @ e0)) / 3.0
         assert np.abs(out - oracle).max() < 1e-12
 
     def test_zero_adjacency_keeps_layer_zero_only(self):
         adj = zero_adjacency(6, 3)
         e0 = np.random.default_rng(2).normal(size=(6, 2))
-        assert np.array_equal(lightgcn_forward(e0, adj, 3), 0.25 * e0)
+        assert np.array_equal(final_embeddings(lightgcn_state(e0, adj, 3)), 0.25 * e0)
 
     def test_negative_layer_count_rejected(self, small_adj):
         e0 = np.zeros((small_adj.n_nodes, 2))
-        with pytest.raises(ModelError, match="layer count"):
-            lightgcn_forward(e0, small_adj, -1)
-        with pytest.raises(ModelError, match="layer count"):
-            final_embeddings(LightGCNState.create(e0, small_adj, -1))
+        with pytest.raises(ModelError, match="hop count"):
+            lightgcn_state(e0, small_adj, -1)
 
     def test_state_forward_dispatch(self, small_adj):
         e0 = np.random.default_rng(3).normal(size=(small_adj.n_nodes, 3))
-        state = LightGCNState.create(e0, small_adj, 2)
+        state = lightgcn_state(e0, small_adj, 2)
         fe, ctx = model_forward(state)
-        assert np.array_equal(fe, lightgcn_forward(e0, small_adj, 2))
+        assert np.array_equal(fe, layer_mean_loop(e0, small_adj, 2))
         assert ctx is None
         assert np.array_equal(final_embeddings(state), fe)
+
+    @pytest.mark.parametrize("n_hops", [0, 1, 3])
+    def test_forward_and_reverse_equal_the_layer_loop_bitwise(self, small_adj, n_hops):
+        rng = np.random.default_rng(10 + n_hops)
+        e0 = rng.normal(size=(small_adj.n_nodes, 5))
+        d_fe = rng.normal(size=e0.shape)
+        state = lightgcn_state(e0, small_adj, n_hops)
+        fe, ctx = model_forward(state)
+        assert (fe == layer_mean_loop(e0, small_adj, n_hops)).all() and ctx is None
+        d_e0, d_w = model_backward(state, ctx, d_fe)
+        assert (d_e0 == layer_mean_loop(d_fe, small_adj, n_hops)).all() and d_w is None
 
     def test_non_finite_input_raises(self, small_adj):
         e0 = np.full((small_adj.n_nodes, 3), np.nan)
         with pytest.raises(SolverError, match="non-finite"):
-            lightgcn_forward(e0, small_adj, 2)
+            final_embeddings(lightgcn_state(e0, small_adj, 2))
 
 
 class TestInitEmbeddings:

@@ -6,17 +6,11 @@ from scipy.special import expit
 
 import odecf.model
 
-from conftest import make_state
+from conftest import lightgcn_state, make_state
 from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
-from odecf.model import (
-    LightGCNState,
-    final_embeddings,
-    init_embeddings,
-    model_backward,
-    model_forward,
-)
+from odecf.model import final_embeddings, init_embeddings, model_backward, model_forward
 from odecf.train import (
     OptimizerState,
     TrainConfig,
@@ -49,7 +43,7 @@ def model_state(ds, model, dims=4):
     """``euler``, ``rk4``, their ``-weighted`` variants (2 steps, 2 hops) or a 3-layer ``lightgcn``."""
     if model == "lightgcn":
         adj = build_adjacency(ds)
-        return LightGCNState.create(init_embeddings(adj.n_nodes, dims, 0.5, 1), adj, 3)
+        return lightgcn_state(init_embeddings(adj.n_nodes, dims, 0.5, 1), adj, 3)
     method, _, weighted = model.partition("-")
     return make_state(ds, method=method, steps=2, n_hops=2, use_weights=bool(weighted),
                       dims=dims)
@@ -174,7 +168,7 @@ class TestBprLoss:
         # 2 users + 4 items; user 0 and item 1 each appear twice. A 0-layer
         # LightGCN scores with e0 itself.
         e0 = np.arange(12.0).reshape(6, 2)
-        state = LightGCNState.create(e0, zero_adjacency(6, 2), 0)
+        state = lightgcn_state(e0, zero_adjacency(6, 2), 0)
         batch = make_batch([0, 0], [1, 1], [2, 3])
         rows = [0, 0, 3, 3, 4, 5]
         want = sum(float(np.sum(e0[r] ** 2)) for r in rows) / 2
@@ -356,7 +350,7 @@ class TestBackward:
         ds = synthetic_split(n_users=6, n_items=8, seed=6, min_train=3, max_train=4)
         adj = build_adjacency(ds)
         e0 = init_embeddings(adj.n_nodes, 4, 0.5, 12)
-        state = LightGCNState.create(e0, adj, 2)
+        state = lightgcn_state(e0, adj, 2)
         batch = sample_triplets(ds, 20, np.random.default_rng(8))
         assert finite_difference_check(state, batch, l2_lambda=1e-3) < 1e-5
 
@@ -471,7 +465,7 @@ class TestFit:
     def test_lightgcn_state_trains(self, toy_ds):
         adj = build_adjacency(toy_ds, allow_isolated_items=True)
         e0 = init_embeddings(adj.n_nodes, 8, 0.1, 6)
-        state = LightGCNState.create(e0, adj, 2)
+        state = lightgcn_state(e0, adj, 2)
         cfg = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=60,
                           patience=500, seed=6)
         history, best = fit(toy_ds, state, cfg, validation_hook(toy_ds))
