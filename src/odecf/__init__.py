@@ -9,47 +9,3 @@ measure ranking quality.
 """
 
 __version__ = "0.1.0"
-
-from .data import (
-    DataError,
-    InteractionLog,
-    ParseStats,
-    SplitDataset,
-    k_core_filter,
-    leave_one_out_split,
-    parse_interactions,
-    synthetic_split,
-    write_split,
-)
-from .evaluation import (
-    EvalError,
-    MetricsReport,
-    RankResult,
-    evaluate,
-    ndcg_at_n,
-    rank_heldout,
-    recall_at_n,
-)
-from .graph import GraphError, SparseAdjacency, build_adjacency, spmm
-from .model import (
-    ModelError,
-    ModelState,
-    SolverConfig,
-    SolverError,
-    final_embeddings,
-    init_embeddings,
-)
-from .train import (
-    GradientSet,
-    OptimizerState,
-    TrainConfig,
-    TrainError,
-    TripletBatch,
-    adam_step,
-    backward,
-    bpr_loss,
-    epoch_triplets,
-    finite_difference_check,
-    fit,
-    sample_triplets,
-)

@@ -27,7 +27,7 @@ from .data import (
     parse_interactions,
     write_split,
 )
-from .evaluation import MetricsReport, evaluate, write_metrics_csv
+from .evaluation import evaluate, write_metrics_csv
 from .graph import build_adjacency
 from .model import ModelState, SolverConfig, final_embeddings, init_embeddings
 from .train import (
@@ -238,11 +238,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     state = build_state(cfg, ds)
     n_values = cfg.eval_n_list()
-    hook_ns = sorted(set(n_values) | {20})
+    if 20 not in n_values:  # early stopping and the sweep table read N=20
+        n_values.append(20)
     reports = []  # one per recorded epoch: fit appends a record for each report returned
 
     def validation_hook(current):
-        reports.append(evaluate(final_embeddings(current), ds, "validation", hook_ns))
+        reports.append(evaluate(final_embeddings(current), ds, "validation", n_values))
         return reports[-1]
 
     history, best = fit(ds, state, cfg.train_config(), validation_hook)
@@ -254,9 +255,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     if history:
         at = max(range(len(history)), key=lambda k: history[k].ndcg20)  # fit's best state
         best_epoch, best_metric = history[at].epoch, history[at].ndcg20
-        seen = reports[at]  # the best state's validation ranks, already aggregated
-        val_report = MetricsReport(n_values, [seen.recall_at(n) for n in n_values],
-                                   [seen.ndcg_at(n) for n in n_values], seen.users_evaluated)
+        val_report = reports[at]  # the best state's validation ranks, already aggregated
     else:
         best_epoch, best_metric = 0, float("nan")
         val_report = evaluate(fe, ds, "validation", n_values)
@@ -305,7 +304,7 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1)
     else:
         for run_cfg in run_cfgs:
             run_experiment(run_cfg)
-    emit_sweep_table(base, base / "sweep.csv", field=param)
+    emit_sweep_table(base, field=param)
     return base
 
 
@@ -329,9 +328,9 @@ def _read_run_row(run_dir: Path) -> str:
     return f"{field},{value},{recall20},{ndcg20},{meta['epoch']},{seconds!r}"
 
 
-def emit_sweep_table(results_dir, out_csv=None, field=None) -> Path:
+def emit_sweep_table(results_dir, field=None) -> Path:
     """Consolidate the ``<field>=<value>`` run directories under ``results_dir``
-    (only those of ``field`` when given) into one CSV row per completed run."""
+    (only those of ``field`` when given) into one ``sweep.csv`` row per completed run."""
     results_dir = Path(results_dir)
     run_dirs = sorted(
         p for p in results_dir.iterdir()
@@ -347,7 +346,7 @@ def emit_sweep_table(results_dir, out_csv=None, field=None) -> Path:
                   file=sys.stderr)
     if not rows:
         raise DataError(f"no completed run directories under {results_dir}")
-    out_csv = Path(out_csv) if out_csv else results_dir / "sweep.csv"
+    out_csv = results_dir / "sweep.csv"
     with open(out_csv, "w", encoding="utf-8") as fh:
         fh.write("field,value,recall20,ndcg20,epochs_to_best,seconds\n")
         for row in rows:

@@ -15,22 +15,23 @@ float32-norm order, the items likeliest to beat a target first: the first
 chunk is as many items as the first half of the buffer's bytes holds float32
 scores for every user, and each later chunk doubles the scanned prefix
 (without ``depth``, one whole-catalog chunk). A chunk is scored in user
-blocks that fit that half, excluded items are set to -inf there, and two
+blocks that fit that half, excluded items are set to NaN there, and two
 compare passes add, per user, the items scoring above the target by more
 than the user's proven error margin (``_screen_margins``) and those scoring
 below it by more. The target's float32 score comes once from an einsum; the
 margin bounds any float32 evaluation order, so the GEMM's own score for the
 target column falls in neither count. A user whose above-count reaches
 ``depth`` leaves the scan: its rank is past ``depth``. After the last chunk,
-a user whose two counts cover every other item is certified, for no float64
-evaluation of the scores can order the target differently, and its rank is
-1 + the first count. The users the screen cannot certify (near-ties, exact
-ties, scores that could overflow or underflow float32) are scored again in
-float64 into the same buffer, in item-id order with excluded items set to
-NaN, and ranked by the one exact routine, ``_ranks``, which ``rank_heldout``
-also uses: two compare passes into the mask, one counting the strict winners
-per row, the other finding the ties, of which only those left of the
-target's column count.
+a user whose two counts cover every other candidate (NaN falls in neither)
+is certified, for no float64 evaluation of the scores can order the target
+differently, and its rank is 1 + the first count. The users the screen
+cannot certify (near-ties, exact ties, scores that could overflow or
+underflow float32) are scored again in float64 into the same buffer, in
+item-id order with excluded items again NaN, and ranked by the one exact
+routine, ``_ranks``, which ``rank_heldout`` also uses: two compare passes
+into the mask, one counting the strict winners per row, the other finding
+the ties, of which only those left of the target's column count. Both
+passes score their user blocks through ``_blocks``.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
 reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
@@ -197,20 +198,27 @@ def _screen_margins(norms: np.ndarray, n_users: int, d: int) -> np.ndarray:
         return np.nextafter(margins.astype(np.float32), np.float32(np.inf))
 
 
-def _excluded(users: np.ndarray, n_users: int, owners: np.ndarray, items: np.ndarray,
-              width: int) -> np.ndarray:
-    """Flat cells ``row * width + item`` of the excluded (owner, item) pairs
-    whose owner is ``users[row]``, rows ascending when ``owners`` ascend."""
-    slot = np.full(n_users, -1)
+def _blocks(rows: np.ndarray, items: np.ndarray, users: np.ndarray, buffer: np.ndarray,
+            owners: np.ndarray, excluded: np.ndarray):
+    """Score ``users`` (ascending) against ``items`` in blocks of as many users
+    as the flat ``buffer`` holds rows, each block one GEMM of ``rows[part]``
+    into the front of ``buffer``, and yield ``(part, block)`` with NaN in the
+    cells of the excluded pairs: user ``owners[k]`` (ascending), column
+    ``excluded[k]``."""
+    width = len(items)
+    slot = np.full(len(rows), -1)
     slot[users] = np.arange(len(users))
-    rows = slot[owners]
-    return (rows * width + items)[rows >= 0]
-
-
-def _block_cells(cells: np.ndarray, start: int, stop: int, width: int) -> np.ndarray:
-    """The ``cells`` in rows [start, stop), as flat cells of a block whose row 0 is ``start``."""
-    i, j = np.searchsorted(cells, (start * width, stop * width))
-    return cells[i:j] - start * width
+    at = slot[owners]
+    cells = (at * width + excluded)[at >= 0]  # flat cells in the users' rows, ascending
+    step = max(1, len(buffer) // width)
+    for start in range(0, len(users), step):
+        part = users[start : start + step]
+        block = buffer[: len(part) * width].reshape(len(part), width)
+        with np.errstate(over="ignore", invalid="ignore"):  # such scores rank or go uncertified
+            np.matmul(rows[part], items.T, out=block)
+        i, j = np.searchsorted(cells, (start * width, (start + len(part)) * width))
+        buffer[cells[i:j] - start * width] = np.nan
+        yield part, block
 
 
 # Budget of the one user-by-item score buffer of a rank_all call (its bool mask
@@ -238,12 +246,11 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     if depth < 1:
         raise EvalError(f"depth must be >= 1, got {depth}")
     targets = ds.validation if mode == "validation" else ds.test
-    height = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items)))
-    room = height * n_items  # float32 cells of the screen, bools of the mask
+    room = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items))) * n_items
     # the buffer before the float32 copy: the other order made the next training epoch page-fault more
-    scores = np.empty((height, n_items))
+    scores = np.empty(room)
     mask = np.empty(room, dtype=bool)
-    screen = scores.reshape(-1).view(np.float32)[:room]
+    screen = scores.view(np.float32)[:room]
     with np.errstate(over="ignore"):  # float32 infinities get an infinite margin
         fe32 = fe.astype(np.float32)
     norms = np.sqrt(np.einsum("ij,ij->i", fe32, fe32, dtype=np.float64))
@@ -274,32 +281,20 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     above, below = np.zeros(n_users, dtype=count), np.zeros(n_users, dtype=count)
     users = np.arange(n_users)
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        width, chunk = hi - lo, by[splits[k] : splits[k + 1]]
-        cells = _excluded(users, n_users, owners[chunk], columns[chunk] - lo, width)
-        step = max(1, room // width)
-        for start in range(0, len(users), step):
-            part = users[start : start + step]
-            block = screen[: len(part) * width].reshape(len(part), width)
-            with np.errstate(over="ignore", invalid="ignore"):  # such rows are not certified
-                np.matmul(fe32[part], items32[lo:hi].T, out=block)
-            screen[_block_cells(cells, start, start + len(part), width)] = -np.inf
-            # the target's own column lies within its margin, so neither count takes it
+        chunk = by[splits[k] : splits[k + 1]]
+        for part, block in _blocks(fe32[:n_users], items32[lo:hi], users, screen, owners[chunk],
+                                   columns[chunk] - lo):
+            # neither count takes NaN (excluded) or the target's own column (within its margin)
             flags = mask[: block.size].reshape(block.shape)
             np.greater(block, upper[part, None], out=flags)
             above[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
             np.less(block, lower[part, None], out=flags)
             below[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
         users = users[above[users] < depth]  # the others rank past depth
-    certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1)
+    certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1 - counts)
     ranks = 1 + above.astype(np.int64)
     rest = np.flatnonzero(~certified & (above < depth))
-    cells = _excluded(rest, n_users, owners, excluded, n_items)
-    for start in range(0, len(rest), height):
-        part = rest[start : start + height]
-        block = scores[: len(part)]
-        with np.errstate(over="ignore"):  # finite but extreme embeddings score +-inf and still rank
-            np.matmul(fe[part], fe[n_users:].T, out=block)
-        block.reshape(-1)[_block_cells(cells, start, start + len(part), n_items)] = np.nan
+    for part, block in _blocks(fe[:n_users], fe[n_users:], rest, scores, owners, excluded):
         ranks[part] = _ranks(block, targets[part], mask[: block.size].reshape(block.shape))
     np.minimum(ranks, depth + 1, out=ranks)
     return RankView(ranks)

@@ -7,6 +7,9 @@ built on it silently disappears, so a rename must fail here instead.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -42,6 +45,26 @@ def test_every_traced_target_resolves():
     for module_name, attr, _ in targets:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             f"{module_name}.{attr}"
+
+
+def test_package_root_loads_no_submodule_and_run_py_imports_reach_every_target():
+    """``run.py`` runs ``import odecf`` and then ``from odecf import data, evaluation,
+    graph, model, train``; the package root alone loads no submodule, and those five
+    imports load every module the tracer rebinds."""
+    code = f"""
+import sys
+import odecf
+loaded = [m for m in sys.modules if m.startswith("odecf.")]
+assert not loaded, loaded
+from odecf import data, evaluation, graph, model, train
+for module_name, attr, _ in {load_spans().TARGETS!r}:
+    assert callable(getattr(sys.modules[module_name], attr, None)), module_name + "." + attr
+"""
+    paths = [str(Path(odecf.evaluation.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_adjacency_and_ranks_keep_their_shape():

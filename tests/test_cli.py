@@ -364,6 +364,16 @@ class TestSweep:
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_cutoffs_without_20_still_table(self, raw_file, tmp_path):
+        """The table reads test N=20, which every run's metrics.csv carries."""
+        outdir = tmp_path / "sweep_n10"
+        assert self.run_sweep_cli(raw_file, outdir, "t1", "0.8,0.9", eval_n=10) == EXIT_OK
+        lines = (outdir / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["t1", "0.8"], ["t1", "0.9"]]
+        rows = (outdir / "t1=0.8" / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["validation", "10"], ["validation", "20"], ["test", "10"], ["test", "20"]]
+
     def test_layer_sweep(self, raw_file, tmp_path):
         outdir = tmp_path / "sweep_hops"
         assert self.run_sweep_cli(raw_file, outdir, "n_hops", "1,2,3") == EXIT_OK
