@@ -14,9 +14,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 import odecf.evaluation
+import odecf.model
 from odecf.data import k_core_filter, leave_one_out_split, parse_interactions, synthetic_split
 from odecf.evaluation import evaluate, rank_all
 from odecf.graph import build_adjacency
@@ -29,14 +31,19 @@ from odecf.model import (
 )
 from odecf.train import TrainConfig, batch_loss, fit, loss_and_grads, sample_triplets
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("spans")
 
 
 def test_every_traced_target_resolves():
@@ -45,6 +52,30 @@ def test_every_traced_target_resolves():
     for module_name, attr, _ in targets:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("name,calls", [("train-euler", 4), ("train-rk4-weighted", 16),
+                                        ("wide-catalog", 4)])
+def test_a_training_step_makes_the_workloads_spmm_count(monkeypatch, name, calls):
+    """``graph.spmm_calls_per_step`` traces ``odecf.model.spmm`` and the workloads' ``why``
+    quotes its count: 2 K top steps for Euler (top 1) and RK4 (top 4), 2 K for LightGCN."""
+    w = load_perfbench("workloads").WORKLOADS[name]
+    ds = synthetic_split(n_users=10, n_items=12, seed=2)
+    adj = build_adjacency(ds)
+    e0 = init_embeddings(ds.n_users + ds.n_items, 3, 0.1, 4)
+    if w.model == "gode_cf":  # built as perfbench/run.py builds it
+        solver = SolverConfig(method=w.method, t1=w.t1, steps=w.steps, n_hops=w.n_hops,
+                              use_weights=w.use_weights)
+        state = ModelState.create(e0, adj, solver)
+        expected = 2 * w.n_hops * (1 if w.method == "euler" else 4) * w.steps
+    else:
+        state = LightGCNState.create(e0, adj, w.n_layers)
+        expected = 2 * w.n_layers
+    seen = []
+    real = odecf.model.spmm
+    monkeypatch.setattr(odecf.model, "spmm", lambda a, x: seen.append(1) or real(a, x))
+    loss_and_grads(state, sample_triplets(ds, 5, np.random.default_rng(5)), w.l2_lambda)
+    assert len(seen) == expected == calls
 
 
 def test_package_root_loads_no_submodule_and_run_py_imports_reach_every_target():

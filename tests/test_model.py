@@ -170,6 +170,23 @@ class TestIntegrate:
             else:
                 assert ctx is None
 
+    @pytest.mark.parametrize("use_weights", [False, True])
+    def test_euler_forward_and_reverse_equal_the_step_loop_bitwise(self, small_ds, use_weights):
+        state = make_state(small_ds, method="euler", t1=0.9, steps=3, n_hops=2,
+                           use_weights=use_weights, std=1.0)
+        if use_weights:
+            state.hop_weights[:] = [1.3, 0.8]
+        c = float(np.prod(state.hop_weights)) if use_weights else 1.0
+        h = state.solver.step_size
+        d_fe = np.random.default_rng(12).normal(size=state.e0.shape)
+        fe, ctx = model_forward(state)
+        want, before_last = euler_step_loop(state.e0, state.adjacency, 2, 3, h, c)
+        assert (fe == want).all()
+        if use_weights:
+            assert (ctx == before_last).all()
+        d_e0, _ = model_backward(state, ctx, d_fe)
+        assert (d_e0 == euler_step_loop(d_fe, state.adjacency, 2, 3, h, c)[0]).all()
+
     def test_weighted_backward_needs_ctx(self, small_ds):
         state = make_state(small_ds, use_weights=True)
         with pytest.raises(ModelError, match="ctx"):
@@ -187,11 +204,64 @@ def layer_mean_loop(e0, adjacency, n_layers):
     return acc
 
 
+def euler_step_loop(e, adjacency, n_hops, steps, h, c):
+    """Euler written out, e <- e + h (c A^K e - e); returns the result and the last step's input."""
+    for _ in range(steps):
+        before, hop = e, e
+        for _ in range(n_hops):
+            hop = spmm(adjacency, hop)
+        e = e + h * (c * hop - e)
+    return e, before
+
+
+def spectral_filter(method, lam, n_hops, steps, h, c):
+    """p(lambda) from the formulas: (1 + z)^steps for Euler, (sum_{j<=4} z^j / j!)^steps
+    for RK4, both with z = h (c lambda^K - 1); the mean of lambda^0..lambda^K for LightGCN."""
+    if method == "lightgcn":
+        return sum(lam ** l for l in range(n_hops + 1)) / (n_hops + 1)
+    z = h * (c * lam ** n_hops - 1.0)
+    if method == "euler":
+        return (1.0 + z) ** steps
+    return (1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) ** steps
+
+
+class TestSpectralOracle:
+    """Every rule maps e0 to p(A) e0; with A = V diag(lam) V^T that is V diag(p(lam)) V^T e0."""
+
+    @pytest.mark.parametrize("method,n_hops", [("euler", 1), ("euler", 2), ("euler", 3),
+                                               ("rk4", 1), ("rk4", 2), ("rk4", 3),
+                                               ("lightgcn", 0), ("lightgcn", 1),
+                                               ("lightgcn", 2), ("lightgcn", 3)])
+    def test_forward_and_reverse_equal_the_filtered_spectrum(self, small_ds, method, n_hops):
+        lam, vecs = np.linalg.eigh(build_adjacency(small_ds).to_scipy().toarray())
+        rng = np.random.default_rng(20 + n_hops)
+        d_fe = rng.normal(size=(len(lam), 4))
+        cases = [(1, False)] if method == "lightgcn" else \
+            [(steps, w) for steps in (1, 2, 5) for w in (False, True)]
+        for steps, use_weights in cases:
+            state = make_state(small_ds, method=method, t1=0.9, steps=steps, n_hops=n_hops,
+                               use_weights=use_weights, std=1.0, seed=steps)
+            c = 1.0
+            if use_weights:
+                state.hop_weights[:] = 1.0 + 0.2 * rng.normal(size=n_hops)
+                c = float(np.prod(state.hop_weights))
+            p = spectral_filter(method, lam, n_hops, steps, 0.9 / steps, c)
+            fe, ctx = model_forward(state)
+            d_e0 = model_backward(state, ctx, d_fe)[0]
+            for got, x in ((fe, state.e0), (d_e0, d_fe)):
+                assert np.abs(got - vecs @ (p[:, None] * (vecs.T @ x))).max() < 1e-12
+
+
 class TestLightGCN:
     def test_zero_layers(self, small_adj):
         e0 = np.random.default_rng(0).normal(size=(small_adj.n_nodes, 3))
-        out = final_embeddings(lightgcn_state(e0, small_adj, 0))
+        state = lightgcn_state(e0, small_adj, 0)
+        out = final_embeddings(state)
         assert np.array_equal(out, 1.0 * e0)
+        # Adam updates e0 in place, so the result must be a copy
+        assert not np.shares_memory(out, state.e0)
+        d_fe = np.ones_like(e0)
+        assert not np.shares_memory(model_backward(state, None, d_fe)[0], d_fe)
 
     def test_matches_dense_oracle(self, small_adj):
         e0 = np.random.default_rng(1).normal(size=(small_adj.n_nodes, 4))

@@ -261,10 +261,9 @@ class TestBackward:
 
     @pytest.mark.parametrize("model", ["rk4", "rk4-weighted"])
     def test_rk4_backward_peak_stays_under_seven_and_a_half_embedding_tables(self, model):
-        # the step adds each stage into its result (and the hop-weight
-        # tangent) as it comes, so beside those sums at most one stage and
-        # the next one's input are alive: 6.35 tables, where keeping all four
-        # stages takes more than 9
+        # a step adds each power M^j e / j! into its sum as it comes, so
+        # beside the step's input and that sum only the current power and
+        # the hop products of the next one are alive: 6.35 tables
         ds = synthetic_split(n_users=300, n_items=700, seed=3)
         state = model_state(ds, model, dims=32)
         batch = sample_triplets(ds, 1024, np.random.default_rng(2))
