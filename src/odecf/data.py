@@ -8,6 +8,7 @@ peel, the split and the train pairs are array operations on those codes.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,15 +125,13 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
 
     user_codes: dict[str, int] = {}
     item_codes: dict[str, int] = {}
-    users, items, stamps = [], [], []
+    users, items, stamps = [], [], array("q")  # the dicts own the code ints; a stamp is 8 bytes here
     malformed = 0
     with opened as lines:
         for raw in lines:
             fields = raw.split()
-            if not fields:
-                continue
             if len(fields) < width:
-                malformed += 1
+                malformed += bool(fields)  # a blank line is skipped, not malformed
                 continue
             try:
                 stamp = int(fields[t_at])
@@ -142,17 +141,17 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
             if stamp < 0:
                 malformed += 1
                 continue
+            try:
+                stamps.append(stamp)
+            except OverflowError:
+                raise DataError("a timestamp does not fit in 64 bits") from None
             users.append(user_codes.setdefault(fields[u_at], len(user_codes)))
             items.append(item_codes.setdefault(fields[i_at], len(item_codes)))
-            stamps.append(stamp)
 
     parsed = len(stamps)
     if parsed == 0:
         raise DataError("zero valid lines in interaction source")
-    try:
-        t = np.fromiter(stamps, dtype=np.int64, count=parsed)
-    except OverflowError:
-        raise DataError("a timestamp does not fit in 64 bits") from None
+    t = np.frombuffer(stamps, dtype=np.int64)
     u, i = (np.fromiter(codes, dtype=np.int64, count=parsed) for codes in (users, items))
 
     # A stable sort by pair keeps each pair's lines in file order, so each run

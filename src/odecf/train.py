@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .data import SplitDataset, train_pairs
 from .model import SolverError, model_backward, model_forward
@@ -165,7 +164,8 @@ def _score_head(batch: TripletBatch, state, fe, l2_lambda: float):
     counts = np.bincount(rows, minlength=fe.shape[0])
     l2 = float(counts @ np.einsum("ij,ij->i", state.e0, state.e0))
     loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
-    return loss, -expit(neg - pos) / size, counts  # d mean-softplus(-margin) / d margin
+    with np.errstate(over="ignore"):  # -sigmoid(-margin) / B, and -0.0 where exp overflows
+        return loss, -1.0 / (1.0 + np.exp(pos - neg)) / size, counts
 
 
 def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:

@@ -78,6 +78,15 @@ def test_a_training_step_makes_the_workloads_spmm_count(monkeypatch, name, calls
     assert len(seen) == expected == calls
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports the odecf under test."""
+    paths = [str(Path(odecf.evaluation.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_root_loads_no_submodule_and_run_py_imports_reach_every_target():
     """``run.py`` runs ``import odecf`` and then ``from odecf import data, evaluation,
     graph, model, train``; the package root alone loads no submodule, and those five
@@ -91,11 +100,19 @@ from odecf import data, evaluation, graph, model, train
 for module_name, attr, _ in {load_spans().TARGETS!r}:
     assert callable(getattr(sys.modules[module_name], attr, None)), module_name + "." + attr
 """
-    paths = [str(Path(odecf.evaluation.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
+
+
+def test_program_imports_leave_scipy_special_unloaded():
+    """``scipy.special`` costs ~6 MB of resident memory on import, and the
+    benchmark's ``peak_rss_mb`` counts it, so neither the five modules ``run.py``
+    loads nor the CLI may pull it in."""
+    code = """
+import sys
+from odecf import cli, data, evaluation, graph, model, train
+assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy."))
+"""
+    run_fresh(code)
 
 
 def test_adjacency_and_ranks_keep_their_shape():

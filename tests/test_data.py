@@ -51,6 +51,13 @@ class TestParseInteractions:
         log, stats = parse_lines(["u a 5.0 99"], columns=("user", "item", "rating", "time"))
         assert stats.parsed == 1 and log.interactions[0].timestamp == 99
 
+    def test_timestamps_at_the_int64_boundary(self):
+        log, stats = parse_lines([f"u i {2**63 - 1}", "v i 3"])
+        assert stats.parsed == 2 and log.interactions["timestamp"].tolist() == [2**63 - 1, 3]
+        for stamp in (2**63, 10**29):
+            with pytest.raises(DataError, match="does not fit in 64 bits"):
+                parse_lines(["v i 3", f"u i {stamp}"])
+
     def test_bad_column_spec(self):
         with pytest.raises(DataError, match="missing"):
             parse_lines(["u i 1"], columns=("user", "item"))

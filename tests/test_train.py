@@ -185,6 +185,46 @@ class TestBprLoss:
         assert loss == batch_loss(state, batch, l2_lambda)
 
 
+class TestScoreHeadSigmoid:
+    """The head's margin derivative is -sigmoid(-margin) / B from numpy's ``exp``;
+    scipy's ``expit`` is only the reference here."""
+
+    @staticmethod
+    def margin_batch(margins):
+        """A 0-layer LightGCN, which scores with e0, and a batch whose triplet j has
+        user j at (1, 0), positive 2j at (margins[j], 1) and negative 2j + 1 at 0."""
+        size = len(margins)
+        e0 = np.zeros((3 * size, 2))
+        e0[:size, 0] = 1.0
+        e0[size::2] = np.column_stack([margins, np.ones(size)])
+        picks = 2 * np.arange(size)
+        return lightgcn_state(e0, zero_adjacency(3 * size, size), 0), \
+            make_batch(np.arange(size), picks, picks + 1)
+
+    def coef(self, margins):
+        """``coef`` read off ``loss_and_grads``: user j's second gradient column
+        is coef[j] * 1 - coef[j] * 0 once the L2 term is off."""
+        state, batch = self.margin_batch(margins)
+        assert np.isfinite(batch_loss(state, batch, 0.0))
+        loss, grads = loss_and_grads(state, batch, 0.0)
+        assert np.isfinite(loss)
+        return grads.grad_e0[:len(margins), 1]
+
+    def test_matches_expit_on_a_seeded_sweep(self):
+        rng = np.random.default_rng(23)
+        margins = np.concatenate([rng.normal(0.0, 8.0, 3000), rng.uniform(-700.0, 700.0, 1096)])
+        want = -expit(-margins) / margins.size
+        got = self.coef(margins)
+        assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+
+    def test_extreme_margins_stay_finite_and_warn_nothing(self):
+        margins = np.array([-1000.0, -745.0, 745.0, 1000.0])
+        got = self.coef(margins)
+        size = margins.size
+        assert np.all(np.isfinite(got)) and np.all((-1.0 / size <= got) & (got <= 0.0))
+        assert got.tolist() == [-1.0 / size, -1.0 / size, 0.0, 0.0]
+
+
 def mf_bpr_gradient(e0, n_users, batch, l2_lambda):
     """Closed-form BPR gradient for the plain inner-product model."""
     grad = np.zeros_like(e0)
