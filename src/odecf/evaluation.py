@@ -5,32 +5,33 @@ The held-out item is ranked against every item the user has not trained on
 score descending, then item id ascending, so a target's rank is 1 + the items
 scoring strictly above it + the tied items with a smaller id.
 
-``rank_all(fe, ds, mode, depth)`` returns each user's rank as
-``min(rank, depth + 1)``, which is all Recall@N and NDCG@N read for
-N <= depth; without ``depth`` the ranks are exact. Each call first allocates
-one float64 score buffer of at most ``_BLOCK_BYTES`` (8 MiB; see there why
-no smaller) and one bool mask of as many cells, and reuses both throughout.
-Users are first screened in float32, over item chunks in descending
-float32-norm order, the items likeliest to beat a target first: the first
-chunk is as many items as the first half of the buffer's bytes holds float32
-scores for every user, and each later chunk doubles the scanned prefix
-(without ``depth``, one whole-catalog chunk). A chunk is scored in user
-blocks that fit that half, excluded items are set to NaN there, and two
-compare passes add, per user, the items scoring above the target by more
-than the user's proven error margin (``_screen_margins``) and those scoring
-below it by more. The target's float32 score comes once from an einsum; the
-margin bounds any float32 evaluation order, so the GEMM's own score for the
-target column falls in neither count. A user whose above-count reaches
-``depth`` leaves the scan: its rank is past ``depth``. After the last chunk,
-a user whose two counts cover every other candidate (NaN falls in neither)
-is certified, for no float64 evaluation of the scores can order the target
-differently, and its rank is 1 + the first count. The users the screen
-cannot certify (near-ties, exact ties, scores that could overflow or
-underflow float32) are scored again in float64 into the same buffer, in
-item-id order with excluded items again NaN, and ranked by the one exact
-routine, ``_ranks``, which ``rank_heldout`` also uses: two compare passes
-into the mask, one counting the strict winners per row, the other finding
-the ties, of which only those left of the target's column count. Both
+``rank_all(fe, ds, mode, depth)`` returns each user's rank as ``min(rank,
+depth + 1)``, which is all Recall@N and NDCG@N read for N <= depth; without
+``depth`` the ranks are exact. Each call first allocates one float64 score
+buffer of at most ``_BLOCK_BYTES`` (8 MiB; see there why no smaller) and
+reuses it throughout, then one float32 copy of the embeddings. Users are first
+screened in float32, over item chunks in descending float32-norm order (the
+copy's item rows are put in that order in place), the items likeliest to beat
+a target first: the first chunk is as many items as the first half of the
+buffer's bytes holds float32 scores for every user, and each later chunk
+doubles the scanned prefix (without ``depth``, one whole-catalog chunk). A
+chunk is scored in user blocks that fit that half, excluded items are set to
+NaN there, and two compare passes into bool flags in the buffer's second half
+add, per user, the items scoring above the target by more than the user's
+proven error margin (``_screen_margins``) and those scoring below it by more.
+The target's float32 score comes once from an einsum; the margin bounds any
+float32 evaluation order, so the GEMM's own score for the target column falls
+in neither count. A user whose above-count reaches ``depth`` leaves the scan:
+its rank is past ``depth``. After the last chunk, a user whose two counts
+cover every other candidate (NaN falls in neither) is certified, for no
+float64 evaluation of the scores can order the target differently, and its
+rank is 1 + the first count. The users the screen cannot certify (near-ties,
+exact ties, scores that could overflow or underflow float32) are scored again
+in float64 into the same buffer, in item-id order with excluded items again
+NaN, and ranked by the one exact routine, ``_ranks``, which ``rank_heldout``
+also uses: two compare passes into a bool mask as large as those users' blocks
+(allocated only then), one counting the strict winners per row, the other
+finding the ties, of which only those left of the target's column count. Both
 passes score their user blocks through ``_blocks``.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
@@ -221,12 +222,12 @@ def _blocks(rows: np.ndarray, items: np.ndarray, users: np.ndarray, buffer: np.n
         yield part, block
 
 
-# Budget of the one user-by-item score buffer of a rank_all call (its bool mask
-# adds an eighth). The buffer is freed when the call returns; a smaller freed
-# buffer lowers glibc's heap-trim threshold, and at 4 MiB later training steps
-# page-faulted 4-12x more, so the budget stays at 8 MiB. For the same reason
-# the float32 screen blocks are views of the first half of this buffer's bytes:
-# a float32 buffer of its own made some later epochs fault up to 6x more.
+# Budget of the one user-by-item score buffer of a rank_all call (the float64 pass's
+# bool mask adds up to an eighth). The buffer is freed when the call returns; a smaller
+# freed buffer lowers glibc's heap-trim threshold, and at 4 MiB later training steps
+# page-faulted 4-12x more, so the budget stays at 8 MiB. For the same reason the float32
+# screen blocks are views of the first half of this buffer's bytes: a float32 buffer of
+# its own made some later epochs fault up to 6x more.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -249,14 +250,19 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     room = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items))) * n_items
     # the buffer before the float32 copy: the other order made the next training epoch page-fault more
     scores = np.empty(room)
-    mask = np.empty(room, dtype=bool)
-    screen = scores.view(np.float32)[:room]
+    # the float32 screen blocks fill the first half of its bytes, and their compare flags the second
+    screen, mask = scores.view(np.float32)[:room], scores.view(np.bool_)[4 * room :]
     with np.errstate(over="ignore"):  # float32 infinities get an infinite margin
         fe32 = fe.astype(np.float32)
     norms = np.sqrt(np.einsum("ij,ij->i", fe32, fe32, dtype=np.float64))
     margins = _screen_margins(norms, n_users, fe.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # such users are not certified
+        target32 = np.einsum("ij,ij->i", fe32[:n_users], fe32[n_users + targets])
+        upper = np.nextafter(target32 + margins, np.float32(np.inf))
+        lower = np.nextafter(target32 - margins, np.float32(-np.inf))
     order = np.argsort(-norms[n_users:], kind="stable")  # items likeliest to beat a target first
-    items32 = fe32[n_users + order]
+    items32 = fe32[n_users:]
+    items32[:] = items32[order]  # in place: no id-ordered item copy stays alive through the scan
     position = np.empty(n_items, dtype=np.int64)
     position[order] = np.arange(n_items)
     counts, excluded = np.diff(ds.train_indptr), ds.train_items
@@ -272,10 +278,6 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     chunk_of = np.repeat(np.arange(1, len(bounds), dtype=np.uint8), np.diff(bounds))[columns]
     by = np.argsort(chunk_of, kind="stable")  # by chunk (k + 1 for chunk k), then by owner
     splits = np.cumsum(np.bincount(chunk_of, minlength=len(bounds)))
-    with np.errstate(over="ignore", invalid="ignore"):  # such users are not certified
-        target32 = np.einsum("ij,ij->i", fe32[:n_users], fe32[n_users + targets])
-        upper = np.nextafter(target32 + margins, np.float32(np.inf))
-        lower = np.nextafter(target32 - margins, np.float32(-np.inf))
     # a uint8 sum into uint16 takes about half the time of int32 and holds any count below 2^16
     count = np.uint16 if n_items < 1 << 16 else np.int32
     above, below = np.zeros(n_users, dtype=count), np.zeros(n_users, dtype=count)
@@ -294,6 +296,8 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1 - counts)
     ranks = 1 + above.astype(np.int64)
     rest = np.flatnonzero(~certified & (above < depth))
+    del fe32, items32
+    mask = np.empty(min(room, len(rest) * n_items), dtype=bool)  # float64 blocks fill the buffer
     for part, block in _blocks(fe[:n_users], fe[n_users:], rest, scores, owners, excluded):
         ranks[part] = _ranks(block, targets[part], mask[: block.size].reshape(block.shape))
     np.minimum(ranks, depth + 1, out=ranks)

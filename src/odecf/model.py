@@ -111,7 +111,8 @@ def _check_rows(emb: np.ndarray, adjacency: SparseAdjacency) -> np.ndarray:
     return emb
 
 
-def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None):
+def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None,
+               overwrite: bool = False):
     """Map any N x d matrix ``e`` by the state's polynomial in A; returns (result, aux).
 
     Every rule is a truncated power series run as one loop over j = 1..top:
@@ -126,6 +127,8 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
     are off. Forward (``probe`` None) it is the tangent phi'(M) e_{s-1} of the
     last step, the partial sum below the top power; reverse it is
     <A^K e, probe>, read off the first hop product.
+
+    ``overwrite`` hands ``e`` over: each step sums in its input's storage, to the same result.
     """
     cfg = state.solver
     e = _check_rows(e, state.adjacency)
@@ -139,9 +142,11 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
     aux, forward = None, probe is None
     for step in range(steps):
         keep_tangent = forward and c is not None and step == steps - 1
-        # acc = a_0 e. A Taylor step allocates it after the first power's hop products, which
-        # keeps Euler's reverse-pass peak low; LightGCN's comes first, which measured lower in RSS
-        x, acc = e, None if taylor else weight * e
+        # acc = a_0 e. Handed over, it is e's storage: e as is where a_0 = 1, else scaled in place
+        # once the first hop product has read e. Otherwise a Taylor step allocates it after the
+        # first power's hop products, which keeps Euler's reverse-pass peak low; LightGCN's comes
+        # first, which measured lower in RSS
+        x, acc = e, e if overwrite and weight == 1 else None if taylor or overwrite else weight * e
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports divergence
             for j in range(1, top + 1):
                 y = x
@@ -158,7 +163,7 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
                 if keep_tangent and j == top:
                     aux = e if j == 1 else acc.copy()
                 if acc is None:
-                    acc = weight * e
+                    acc = np.multiply(e, weight, out=e if overwrite else None)
                 acc += x if taylor else weight * x
         e = acc  # frees the step's input before the check's mask
         if not np.isfinite(e).all():
@@ -175,17 +180,18 @@ def model_forward(state):
     return _integrate(state, state.e0)
 
 
-def model_backward(state, ctx, d_fe):
+def model_backward(state, ctx, d_fe, overwrite=False):
     """Exact reverse pass: (d_e0, d_hop_weights or None) for the cotangent d_fe.
 
-    d_e0 = p(A) d_fe, the forward map applied to the cotangent. The hop
+    d_e0 = p(A) d_fe, the forward map applied to the cotangent, computed in
+    d_fe's storage when ``overwrite`` hands it over. The hop
     weights get dL/dc = h * steps * <A^K d_fe, ctx> and
     dL/dw_k = (prod_{j != k} w_j) dL/dc.
     """
     cfg = state.solver
     if cfg.use_weights and ctx is None:
         raise ModelError("the hop-weight gradient needs the ctx returned by model_forward")
-    d_e0, dot = _integrate(state, d_fe, ctx)
+    d_e0, dot = _integrate(state, d_fe, ctx, overwrite)
     if not cfg.use_weights:
         return d_e0, None
     w = state.hop_weights

@@ -189,7 +189,7 @@ def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float):
     sym = sp.csr_matrix((np.concatenate([coef, -coef, coef, -coef]),  # C + C^T
                          (np.concatenate([u, u, p, q]), np.concatenate([p, q, u, u]))),
                         shape=(n, n))  # repeated entries are summed
-    d_e0, d_w = model_backward(state, ctx, sym @ fe)
+    d_e0, d_w = model_backward(state, ctx, sym @ fe, overwrite=True)  # nothing reads S @ fe again
     if l2_lambda:
         d_e0 += ((2.0 * l2_lambda / len(batch)) * counts)[:, None] * state.e0
     return loss, GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)

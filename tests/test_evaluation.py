@@ -281,8 +281,9 @@ class TestEvaluate:
         assert self.rank_all_peak_bytes() < 4 * odecf.evaluation._BLOCK_BYTES
 
     def test_one_score_block_alive_at_a_time(self):
-        # the score buffer is the budget and its mask an eighth of it
-        assert self.rank_all_peak_bytes() < 1.5 * odecf.evaluation._BLOCK_BYTES
+        # the score buffer is the budget; the screen's flags live in its idle bytes, and the
+        # float64 pass's mask is as large as its users' blocks: 1.13 budgets
+        assert self.rank_all_peak_bytes() < 1.2 * odecf.evaluation._BLOCK_BYTES
 
     def test_evaluate_builds_no_rank_results(self, monkeypatch):
         built = []

@@ -252,6 +252,60 @@ class TestSpectralOracle:
                 assert np.abs(got - vecs @ (p[:, None] * (vecs.T @ x))).max() < 1e-12
 
 
+class TestOverwrittenCotangent:
+    """``model_backward(..., overwrite=True)`` sums in the cotangent's own storage and returns
+    the bits of the call on a kept cotangent, which that call leaves unchanged."""
+
+    @staticmethod
+    def check_reverse(state, d_fe):
+        _, ctx = model_forward(state)
+        kept = d_fe.copy()
+        want_e0, want_w = model_backward(state, ctx, kept)
+        assert (kept == d_fe).all()
+        handed = d_fe.copy()
+        got_e0, got_w = model_backward(state, ctx, handed, overwrite=True)
+        assert np.shares_memory(got_e0, handed)
+        assert (got_e0 == want_e0).all()
+        assert (got_w is None) == (want_w is None)
+        assert want_w is None or (got_w == want_w).all()
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("n_hops", [1, 2, 3])
+    @pytest.mark.parametrize("use_weights", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_taylor_rules(self, small_ds, method, n_hops, use_weights, steps):
+        rng = np.random.default_rng(30 + n_hops)
+        state = make_state(small_ds, method=method, steps=steps, n_hops=n_hops,
+                           use_weights=use_weights, std=1.0, seed=steps)
+        if use_weights:
+            state.hop_weights[:] = 1.0 + 0.2 * rng.normal(size=n_hops)
+        self.check_reverse(state, rng.normal(size=state.e0.shape))
+
+    @pytest.mark.parametrize("n_hops", [0, 1, 2, 3])
+    def test_lightgcn(self, small_adj, n_hops):
+        # K = 0 runs no hop product, and its sum is the cotangent itself (a_0 = 1)
+        rng = np.random.default_rng(40 + n_hops)
+        state = lightgcn_state(rng.normal(size=(small_adj.n_nodes, 5)), small_adj, n_hops)
+        d_fe = rng.normal(size=state.e0.shape)
+        self.check_reverse(state, d_fe)
+        if n_hops == 0:
+            assert (model_backward(state, None, d_fe.copy(), overwrite=True)[0] == d_fe).all()
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_forward_euler_keeps_its_last_input_as_the_tangent(self, small_ds, steps):
+        # the hop-weight tangent of forward Euler is the last step's input itself, so no forward
+        # step may sum into its input
+        state = make_state(small_ds, method="euler", steps=steps, n_hops=2, use_weights=True,
+                           std=1.0)
+        state.hop_weights[:] = [1.3, 0.8]
+        e0 = state.e0.copy()
+        fe, ctx = model_forward(state)
+        want_fe, before_last = euler_step_loop(e0, state.adjacency, 2, steps,
+                                               state.solver.step_size, 1.3 * 0.8)
+        assert (fe == want_fe).all() and (ctx == before_last).all() and (state.e0 == e0).all()
+        assert not np.shares_memory(ctx, fe)
+
+
 class TestLightGCN:
     def test_zero_layers(self, small_adj):
         e0 = np.random.default_rng(0).normal(size=(small_adj.n_nodes, 3))
