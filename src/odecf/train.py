@@ -230,6 +230,8 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     exposing ``recall_at(20)`` / ``ndcg_at(20)``; the state with the best
     validation NDCG@20 is returned (a copy, the input state trains in place).
     A non-finite loss aborts training and returns the best state so far.
+    Beyond the state, only the best copy and Adam's two moments outlive a step:
+    each gradient goes once Adam has read it, and the epoch's triplets before the hook.
     """
     rng = np.random.default_rng(cfg.seed)
     params = _trainables(state)
@@ -257,8 +259,10 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
                 diverged = True
                 break
             adam_step(params, grads.as_list(), opt, cfg.learning_rate)
+            del grads  # one N x d table, not to sit beside the next step's passes
             total += loss * len(batch)
             seen += len(batch)
+        del triplets, batch  # the slice is a view that keeps the epoch's arrays
         if diverged:
             break
 
