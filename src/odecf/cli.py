@@ -16,7 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
+# before numpy loads, one BLAS thread unless set: ranking scans on two threads of its own
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .data import (

@@ -153,7 +153,7 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
                 for _ in range(hops):
                     y = spmm(state.adjacency, y)
                 if probe is not None:  # the first hop product, A^K e
-                    aux, probe = float(np.vdot(y, probe)), None
+                    aux, probe = float(np.einsum("ij,ij->", y, probe)), None  # einsum: thread-free bits
                 if taylor:  # y = M x / j
                     if c is not None:
                         y *= c

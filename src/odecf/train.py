@@ -162,7 +162,7 @@ def _score_head(batch: TripletBatch, state, fe, l2_lambda: float):
     neg = np.einsum("ij,ij->i", fu, fe.take(n_users + batch.neg_items, axis=0))
     rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
     counts = np.bincount(rows, minlength=fe.shape[0])
-    l2 = float(counts @ np.einsum("ij,ij->i", state.e0, state.e0))
+    l2 = float(np.einsum("i,i->", counts, np.einsum("ij,ij->i", state.e0, state.e0)))
     loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
     with np.errstate(over="ignore"):  # -sigmoid(-margin) / B, and -0.0 where exp overflows
         return loss, -1.0 / (1.0 + np.exp(pos - neg)) / size, counts

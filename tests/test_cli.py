@@ -463,6 +463,21 @@ def test_output_root_env(tmp_path, monkeypatch, raw_file):
     assert (tmp_path / "root" / "rel_out" / "train.txt").exists()
 
 
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
+def test_cli_defaults_to_one_blas_thread(given, want):
+    paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        env.pop(var, None)
+        if given is not None:
+            env[var] = given
+    code = f"import os, odecf.cli; print(*(os.environ[v] for v in {variables!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want] * 3
+
+
 def test_module_entrypoint_help():
     paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -461,6 +463,81 @@ class TestFloat32Screen:
         assert np.all(np.isnan(passed[0]) | (passed[0] == 0.0))
 
 
+class TestSplitScreen:
+    """rank_all screens two halves of the users at once, the first on a worker
+    thread; neither the split nor the thread may change a rank."""
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["integer", "normal"])
+    def test_one_row_budget_matches_lexsort_oracle(self, monkeypatch, n_users, kind):
+        # a one-row budget gives each half one row, so a half of several users takes
+        # several blocks; each user trains on three of 30 items and holds out two more
+        rng = np.random.default_rng(60 + n_users)
+        picks = [rng.choice(30, size=5, replace=False).tolist() for _ in range(n_users)]
+        ds = simple_ds([p[:3] for p in picks], 30, validation=[p[3] for p in picks],
+                       test=[p[4] for p in picks])
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
+        shape = (ds.n_users + ds.n_items, 4)
+        fe = (rng.integers(-2, 3, size=shape).astype(np.float64) if kind == "integer"
+              else rng.normal(size=shape))
+        for mode in ("validation", "test"):
+            want = np.array(lexsort_ranks(fe, ds, mode))
+            for depth in (None, 1, 3, 10):
+                got = rank_all(fe, ds, mode, depth=depth).ranks
+                assert got.tolist() == (want if depth is None else np.minimum(want, depth + 1)).tolist()
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_a_failing_half_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        ds = synthetic_split(n_users=6, n_items=20, seed=62)
+        fe = np.random.default_rng(63).normal(size=(ds.n_users + ds.n_items, 4))
+        threads = threading.active_count()
+        caller = threading.get_ident()
+        real_matmul = np.matmul
+
+        def matmul(a, b, **kwargs):
+            half = "second" if threading.get_ident() == caller else "first"
+            if a.dtype == np.float32 and half == failing:
+                raise RuntimeError(f"the {half} half failed")
+            return real_matmul(a, b, **kwargs)
+
+        assert rank_all(fe, ds, "test").ranks.tolist() == lexsort_ranks(fe, ds, "test")
+        assert threading.active_count() == threads
+        monkeypatch.setattr(np, "matmul", matmul)
+        for depth in (None, 3):
+            with pytest.raises(RuntimeError, match=f"the {failing} half failed"):
+                rank_all(fe, ds, "validation", depth=depth)
+            assert threading.active_count() == threads
+
+    def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
+        # four callers and their four workers on two cores, switching every microsecond:
+        # a count lost between the halves, or one call touching another's buffer, moves a rank
+        ds = synthetic_split(n_users=9, n_items=20, seed=64)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
+        fe = np.random.default_rng(65).integers(-2, 3, size=(ds.n_users + ds.n_items, 3))
+        fe = fe.astype(np.float64)
+        want = {(mode, depth): np.minimum(lexsort_ranks(fe, ds, mode), depth + 1).tolist()
+                for mode in ("validation", "test") for depth in (3, ds.n_items)}
+        got = []
+
+        def caller():
+            for (mode, depth), ranks in want.items():
+                for _ in range(5):
+                    got.append(rank_all(fe, ds, mode, depth=depth).ranks.tolist() == ranks)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert len(got) == 4 * 5 * len(want) and all(got)
+
+
 class TestDepth:
     """rank_all(..., depth=n) scans items in descending float32-norm order and
     drops a user once n items provably beat its target; every rank must still
@@ -489,22 +566,23 @@ class TestDepth:
 
     @staticmethod
     def layered():
-        """4 users over 64 items. Items 48-63 have norms 100-115, so a one-user
-        budget (chunks of 16, 16 and 32 items) scans them first: users 0 and 1
-        score them 100 to 115, above every other item, and users 2 and 3 score
-        them -100 to -115. Items 0-47 score -0.9 to 0.9 and hold the targets.
-        A third coordinate names the user and adds nothing."""
+        """8 users over 64 items. Items 48-63 have norms 100-115, so a one-user
+        budget (rounded up to a row for each half of the screen: chunks of 16, 16
+        and 32 items) scans them first: users 0-3 score them 100 to 115, above
+        every other item, and users 4-7 score them -100 to -115. Items 0-47
+        score -0.9 to 0.9 and hold the targets. A third coordinate names the
+        user and adds nothing."""
         rng = np.random.default_rng(33)
-        fe = np.zeros((4 + 64, 3))
-        fe[:4, 0] = 1.0
-        fe[:4, 1] = [1.0, 1.0, -1.0, -1.0]
-        fe[:4, 2] = np.arange(4)
-        fe[4 + 48 :, 1] = 100.0 + np.arange(16)
-        fe[4 : 4 + 48, 0] = rng.permutation(np.linspace(-0.9, 0.9, 48))
-        small = np.argsort(fe[4 : 4 + 48, 0])  # items 0-47 by score, ascending
-        ds = simple_ds([[48 + u, int(small[u])] for u in range(4)], 64,
-                       validation=[int(small[10 + u]) for u in range(4)],
-                       test=[int(small[30 + u]) for u in range(4)])
+        fe = np.zeros((8 + 64, 3))
+        fe[:8, 0] = 1.0
+        fe[:8, 1] = [1.0] * 4 + [-1.0] * 4
+        fe[:8, 2] = np.arange(8)
+        fe[8 + 48 :, 1] = 100.0 + np.arange(16)
+        fe[8 : 8 + 48, 0] = rng.permutation(np.linspace(-0.9, 0.9, 48))
+        small = np.argsort(fe[8 : 8 + 48, 0])  # items 0-47 by score, ascending
+        ds = simple_ds([[48 + u, int(small[u])] for u in range(8)], 64,
+                       validation=[int(small[10 + u]) for u in range(8)],
+                       test=[int(small[30 + u]) for u in range(8)])
         return fe, ds
 
     @pytest.mark.parametrize("mode", ["validation", "test"])
@@ -513,7 +591,7 @@ class TestDepth:
         monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
         monkeypatch.setattr(odecf.evaluation, "_ranks", None)  # every user is certified
         full = lexsort_ranks(fe, ds, mode)
-        assert min(full[:2]) > 16  # 15 winners in the first chunk, the target in a later one
+        assert min(full[:4]) > 16  # 15 winners in the first chunk, the target in a later one
         for depth in (1, 3, 15, 16, 20, None):
             got = rank_all(fe, ds, mode, depth=depth).ranks
             assert got.tolist() == (full if depth is None else np.minimum(full, depth + 1).tolist())
@@ -521,21 +599,26 @@ class TestDepth:
     def test_users_past_depth_in_the_first_chunk_score_no_further(self, monkeypatch):
         fe, ds = self.layered()
         monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
-        scored = []  # (users, items) of each float32 block
+        scored = {}  # half -> (users, items) of each of its float32 blocks
+        caller = threading.get_ident()  # scans the second half; a worker scans the first
         real_matmul = np.matmul
 
         def spy(a, b, **kwargs):
             if a.dtype == np.float32:
-                scored.append((a[:, 2].astype(int).tolist(), b.shape[1]))
+                half = "second" if threading.get_ident() == caller else "first"
+                scored.setdefault(half, []).append((a[:, 2].astype(int).tolist(), b.shape[1]))
             return real_matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         rank_all(fe, ds, "validation", depth=3)
-        assert scored[0] == ([0, 1, 2, 3], 16)
-        assert scored[1:] and all(users == [2, 3] for users, _ in scored[1:])
+        # users 0-3 have 15 winners in the first chunk, so their half scores no further;
+        # users 4-7 have none there, and 8 in the second chunk
+        assert scored == {"first": [([0, 1, 2, 3], 16)],
+                          "second": [([4, 5, 6, 7], 16), ([4, 5, 6, 7], 16)]}
         scored.clear()
-        rank_all(fe, ds, "validation")  # one whole-catalog chunk
-        assert scored == [([u], 64) for u in range(4)]
+        rank_all(fe, ds, "validation")  # one whole-catalog chunk, one row a block
+        assert scored == {"first": [([u], 64) for u in range(4)],
+                          "second": [([u], 64) for u in range(4, 8)]}
 
     @pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("mode", ["validation", "test"])

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +416,41 @@ class TestBackward:
         state = lightgcn_state(e0, adj, 2)
         batch = sample_triplets(ds, 20, np.random.default_rng(8))
         assert finite_difference_check(state, batch, l2_lambda=1e-3) < 1e-5
+
+
+# loss_and_grads's hop-weight gradient on a 1,000-node split at d=128, weighted RK4: its
+# dot product runs over 128,000 entries, where a BLAS dot splits the sum across threads
+HOP_WEIGHT_GRADIENT = """
+import numpy as np
+from odecf.data import synthetic_split
+from odecf.graph import build_adjacency
+from odecf.model import ModelState, SolverConfig, init_embeddings
+from odecf.train import loss_and_grads, sample_triplets
+
+ds = synthetic_split(n_users=400, n_items=600, seed=5)
+solver = SolverConfig(method="rk4", steps=2, n_hops=2, use_weights=True)
+state = ModelState.create(init_embeddings(1000, 128, 0.5, 6), build_adjacency(ds), solver)
+loss, grads = loss_and_grads(state, sample_triplets(ds, 256, np.random.default_rng(7)), 1e-4)
+print(float(loss).hex(), *(float(g).hex() for g in grads.grad_hop_weights))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one core: BLAS runs one thread whatever the setting, so the "
+                           "two runs cannot differ")
+def test_training_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(odecf.model.__file__).resolve().parents[1])  # the odecf under test
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", HOP_WEIGHT_GRADIENT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestAdam:
