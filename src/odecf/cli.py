@@ -138,17 +138,12 @@ def _coerce(name: str, raw: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"field {name!r}: cannot parse {raw!r} as bool")
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"field {name!r}: cannot parse {raw!r} as int") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"field {name!r}: cannot parse {raw!r} as float") from exc
-    return raw
+    if kind == "str":
+        return raw
+    try:
+        return (int if kind == "int" else float)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"field {name!r}: cannot parse {raw!r} as {kind}") from exc
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -35,8 +35,6 @@ class InteractionLog:
     """
 
     interactions: np.recarray
-    user_count: int
-    item_count: int
 
     def __len__(self) -> int:
         return len(self.interactions)
@@ -169,8 +167,8 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
                          ("user_key", np.array(list(user_codes), dtype=object)[u]),
                          ("item_key", np.array(list(item_codes), dtype=object)[i])):
         rows[name] = column
-    log = InteractionLog(rows, len(user_codes), len(item_codes))
-    return log, ParseStats(parsed=parsed, duplicates=parsed - line.size, malformed=malformed)
+    stats = ParseStats(parsed=parsed, duplicates=parsed - line.size, malformed=malformed)
+    return InteractionLog(rows), stats
 
 
 def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> InteractionLog:
@@ -198,8 +196,7 @@ def k_core_filter(log: InteractionLog, k: int, users_only: bool = False) -> Inte
 
     if not alive.size:
         raise DataError(f"{k}-core filtering removed every interaction")
-    return InteractionLog(records[alive], np.count_nonzero(np.bincount(users[alive])),
-                          np.count_nonzero(np.bincount(items[alive])))
+    return InteractionLog(records[alive])
 
 
 def _dense_ids(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, list[str]]:

@@ -30,11 +30,11 @@ certified, for no float64 evaluation of the scores can order the target
 differently, and its rank is 1 + the first count. The users the screen cannot
 certify (near-ties, exact ties, scores that could overflow or underflow
 float32) are scored again in float64 into the same buffer, in item-id order
-with excluded items again NaN, and ranked by the one exact routine, ``_ranks``,
-which ``rank_heldout`` also uses: two compare passes into a bool mask as large
-as those users' blocks (allocated only then), one counting the strict winners
-per row, the other finding the ties, of which only those left of the target's
-column count. Both passes score their user blocks through ``_blocks``.
+with excluded items again NaN, and ranked by the one exact routine, ``_ranks``:
+two compare passes into a bool mask as large as those users' blocks (allocated
+only then), one counting the strict winners per row, the other finding the
+ties, of which only those left of the target's column count. Both passes score
+their user blocks through ``_blocks``.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
 reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
@@ -133,30 +133,6 @@ def _ranks(block: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarr
     starts = np.arange(height) * width
     ranks += np.searchsorted(ties, starts + targets) - np.searchsorted(ties, starts)
     return ranks
-
-
-def rank_heldout(fe: np.ndarray, ds: SplitDataset, user: int, target: int,
-                 exclusions) -> RankResult:
-    """Rank one held-out item against all non-excluded items for one user.
-
-    The rank counts candidates scoring strictly above the target plus tied
-    candidates with a smaller item id. Excluded items never compete.
-    """
-    excluded = np.fromiter(exclusions, dtype=np.int64)
-    fe = _check_embeddings(fe, ds)
-    if not 0 <= user < ds.n_users:
-        raise EvalError(f"user id {user} out of range [0, {ds.n_users})")
-    if not 0 <= target < ds.n_items:
-        raise EvalError(f"item id {target} out of range [0, {ds.n_items})")
-    outside = (excluded < 0) | (excluded >= ds.n_items)
-    if outside.any():
-        raise EvalError(f"excluded item id {excluded[outside][0]} out of range [0, {ds.n_items})")
-    if (excluded == target).any():
-        raise EvalError(f"target item {target} is excluded for user {user}")
-    scores = fe[ds.n_users :] @ fe[user]
-    scores[excluded] = np.nan
-    rank = _ranks(scores[None], np.array([target]), np.empty((1, ds.n_items), dtype=bool))
-    return RankResult(user, int(rank[0]))
 
 
 def _screen_margins(norms: np.ndarray, n_users: int, d: int) -> np.ndarray:

@@ -21,14 +21,13 @@ from odecf.data import (
     parse_interactions,
     synthetic_split,
 )
-from odecf.evaluation import evaluate, ndcg_at_n, rank_heldout, recall_at_n
+from odecf.evaluation import evaluate, ndcg_at_n, rank_all, recall_at_n
 from odecf.graph import build_adjacency
 from odecf.model import ModelState, SolverConfig, final_embeddings, init_embeddings
 from odecf.train import TrainConfig, finite_difference_check, fit, sample_triplets
 
 from test_data import make_log
-from test_evaluation import brute_force_rank, embedding_for_scores
-from test_graph import simple_ds
+from test_evaluation import tie_heavy_cases
 
 
 def report(name, detail):
@@ -138,22 +137,9 @@ def test_residual_connection_equivalence():
 def test_metric_oracle():
     """Ranks and both metrics match a brute-force full-sort evaluator, 1000 cases."""
     rng = np.random.default_rng(0)
-    n_items = 50
-    ds = simple_ds([[0]], n_items, validation=[1], test=[2])
-    ranks_lib, ranks_oracle = [], []
-    for case in range(1000):
-        scores = rng.normal(size=n_items)
-        if case % 3 == 0:
-            scores = np.round(scores, 1)  # deliberate ties
-        excl = set(int(x) for x in rng.choice(n_items, size=6, replace=False))
-        target = int(rng.choice([i for i in range(n_items) if i not in excl]))
-        fe = embedding_for_scores([scores], 1)
-        got = rank_heldout(fe, ds, 0, target, excl).rank
-        want = brute_force_rank(scores, target, excl)
-        assert got == want
-        ranks_lib.append(got)
-        ranks_oracle.append(want)
-    lib, oracle = np.array(ranks_lib), np.array(ranks_oracle)
+    ds, fe, want = tie_heavy_cases(rng, 1000, 50, np.arange(1000) % 3 == 0)  # a third tied
+    lib, oracle = rank_all(fe, ds, "test").ranks, np.array(want)
+    assert lib.tolist() == want
     for n in (1, 5, 20):
         assert abs(recall_at_n(lib, n) - recall_at_n(oracle, n)) < 1e-12
         assert abs(ndcg_at_n(lib, n) - ndcg_at_n(oracle, n)) < 1e-12

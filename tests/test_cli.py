@@ -84,6 +84,8 @@ class TestConfig:
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="'dims'"):
             load_config(None, ["dims=many"])
+        with pytest.raises(ConfigError, match="'t1'.*as float"):
+            load_config(None, ["t1=fast"])
         with pytest.raises(ConfigError, match="'use_weights'"):
             load_config(None, ["use_weights=maybe"])
 

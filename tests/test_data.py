@@ -29,7 +29,6 @@ class TestParseInteractions:
         by_pair = {(r.user_key, r.item_key): r.timestamp for r in log.interactions}
         assert by_pair[("u1", "i1")] == 5
         assert by_pair[("u2", "i1")] == 7
-        assert log.user_count == 2 and log.item_count == 1
 
     def test_empty_source_errors(self):
         with pytest.raises(DataError, match="zero valid lines"):
@@ -167,8 +166,6 @@ class TestKCoreFilter:
             return
         out = k_core_filter(log, k, users_only=users_only)
         assert rows(out) == want
-        assert out.user_count == len({u for u, _, _ in want})
-        assert out.item_count == len({i for _, i, _ in want})
 
 
 class TestLeaveOneOutSplit:
@@ -432,8 +429,6 @@ class TestAgainstReferenceIngest:
         log, stats = parse_interactions(iter(lines), columns)
         assert (stats.parsed, stats.duplicates, stats.malformed) == counts
         assert rows(log) == parsed_rows
-        assert log.user_count == len({u for u, _, _ in parsed_rows})
-        assert log.item_count == len({i for _, i, _ in parsed_rows})
         if kept_rows is None:
             with pytest.raises(DataError, match="removed every interaction"):
                 k_core_filter(log, 3, users_only=users_only)

@@ -15,7 +15,6 @@ from odecf.evaluation import (
     evaluate,
     ndcg_at_n,
     rank_all,
-    rank_heldout,
     recall_at_n,
     write_metrics_csv,
 )
@@ -62,55 +61,37 @@ def lexsort_ranks(fe, ds, mode):
     return (1 + np.argmax(order == targets[:, None], axis=1)).tolist()
 
 
-class TestRankHeldout:
+def tie_heavy_cases(rng, n_cases, n_items, rounded):
+    """One user per randomized case, normal scores over ``n_items`` items,
+    rounded to one decimal (deliberate ties) for the users where ``rounded``
+    holds. Each user's 6 exclusions are 5 train items and its validation item,
+    and its test item is drawn from the rest. Returns the dataset, embeddings
+    reproducing the scores, and the brute-force test-mode ranks."""
+    scores = rng.normal(size=(n_cases, n_items))
+    scores[rounded] = np.round(scores[rounded], 1)
+    picks = [rng.choice(n_items, size=7, replace=False).tolist() for _ in range(n_cases)]
+    ds = simple_ds([p[:5] for p in picks], n_items,
+                   validation=[p[5] for p in picks], test=[p[6] for p in picks])
+    want = [brute_force_rank(row, p[6], set(p[:6])) for row, p in zip(scores, picks)]
+    return ds, embedding_for_scores(scores, n_cases), want
+
+
+class TestRankOrder:
     def test_unique_maximum_ranks_first(self):
         ds = simple_ds([[1]], 4, validation=[2], test=[3])
         fe = embedding_for_scores([[0.1, 0.0, 0.9, 0.2]], 1)
-        assert rank_heldout(fe, ds, 0, 2, {1}).rank == 1
+        assert rank_all(fe, ds, "validation")[0].rank == 1
 
     def test_all_equal_scores_lowest_id_wins(self):
-        ds = simple_ds([[3]], 5, validation=[0], test=[1])
-        fe = embedding_for_scores([[0.5] * 5], 1)
-        assert rank_heldout(fe, ds, 0, 0, {3}).rank == 1
-        assert rank_heldout(fe, ds, 0, 2, {3}).rank == 3  # ids 0,1 tie above
-
-    def test_excluded_target_rejected(self):
-        ds = simple_ds([[0]], 3, validation=[1], test=[2])
-        fe = np.zeros((4, 2))
-        with pytest.raises(EvalError, match="excluded"):
-            rank_heldout(fe, ds, 0, 0, {0})
-
-    def test_out_of_range_ids(self):
-        ds = simple_ds([[0]], 3, validation=[1], test=[2])
-        fe = np.zeros((4, 2))
-        with pytest.raises(EvalError):
-            rank_heldout(fe, ds, 5, 1, set())
-        with pytest.raises(EvalError):
-            rank_heldout(fe, ds, 0, 9, set())
-
-    @pytest.mark.parametrize("bad", [-1, 5])
-    def test_out_of_range_exclusions_rejected(self, bad):
-        # item 4 outscores the target; a wrapped -1 would silently exclude it
-        ds = simple_ds([[0], [0], [0]], 5, validation=[1, 1, 1], test=[2, 2, 2])
-        fe = embedding_for_scores([[0.0, 0.5, 0.1, 0.2, 0.9]] * 3, 3)
-        assert rank_heldout(fe, ds, 0, 1, {0}).rank == 2
-        with pytest.raises(EvalError, match=f"excluded item id {bad} out of range"):
-            rank_heldout(fe, ds, 0, 1, {0, bad})
+        ds = simple_ds([[3], [3]], 5, validation=[0, 2], test=[1, 1])
+        fe = embedding_for_scores([[0.5] * 5] * 2, 2)
+        assert rank_all(fe, ds, "validation").ranks.tolist() == [1, 3]  # ids 0,1 tie above 2
+        assert rank_all(fe, ds, "test").ranks.tolist() == [1, 2]  # user 0's validation item 0 is excluded
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
-        n_items = 50
-        ds = simple_ds([[0]], n_items, validation=[1], test=[2])
-        for _ in range(1000):
-            scores = rng.normal(size=n_items)
-            if rng.random() < 0.3:  # force ties sometimes
-                scores = np.round(scores, 1)
-            excl = set(int(x) for x in rng.choice(n_items, size=5, replace=False))
-            candidates = [i for i in range(n_items) if i not in excl]
-            target = int(rng.choice(candidates))
-            fe = embedding_for_scores([scores], 1)
-            got = rank_heldout(fe, ds, 0, target, excl).rank
-            assert got == brute_force_rank(scores, target, excl)
+        ds, fe, want = tie_heavy_cases(rng, 1000, 50, rng.random(1000) < 0.3)
+        assert rank_all(fe, ds, "test").ranks.tolist() == want
 
 
 def per_user_recall(ranks, n):
@@ -218,29 +199,23 @@ class TestEvaluate:
                 assert recall == pytest.approx(want_recall, abs=1e-12)
                 assert ndcg == pytest.approx(want_ndcg, abs=1e-12)
 
-    def test_rank_all_consistent_with_rank_heldout(self):
+    def test_rank_all_consistent_with_lexsort_ranks(self):
         ds = synthetic_split(n_users=12, n_items=10, seed=7)
         fe = np.random.default_rng(8).normal(size=(ds.n_users + ds.n_items, 4))
-        results = rank_all(fe, ds, "test")
-        for r in results:
-            excl = set(ds.train[r.user]) | {ds.validation[r.user]}
-            assert r.rank == rank_heldout(fe, ds, r.user, ds.test[r.user], excl).rank
+        assert rank_all(fe, ds, "test").ranks.tolist() == lexsort_ranks(fe, ds, "test")
 
     @pytest.mark.parametrize("height", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["validation", "test"])
-    def test_small_blocks_match_rank_heldout_on_exact_ties(self, monkeypatch, height, mode):
+    def test_small_blocks_match_lexsort_ranks_on_exact_ties(self, monkeypatch, height, mode):
         # integer embeddings give exact products and many tied scores in every
         # row, so ties fall on both sides of each block boundary
         ds = synthetic_split(n_users=11, n_items=10, seed=12)
         monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items * height)
         fe = np.random.default_rng(13).integers(-1, 2, size=(ds.n_users + ds.n_items, 2))
         fe = fe.astype(np.float64)
-        targets = ds.validation if mode == "validation" else ds.test
         results = rank_all(fe, ds, mode)
         assert [r.user for r in results] == list(range(ds.n_users))
-        for r in results:
-            excl = set(ds.train[r.user]) | ({ds.validation[r.user]} if mode == "test" else set())
-            assert r.rank == rank_heldout(fe, ds, r.user, targets[r.user], excl).rank
+        assert [r.rank for r in results] == lexsort_ranks(fe, ds, mode)
 
     @pytest.mark.parametrize("mode", ["validation", "test"])
     def test_default_blocks_match_lexsort_oracle(self, mode):
@@ -362,7 +337,7 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="non-finite"):
             evaluate(fe, ds, "test", [1])
         with pytest.raises(EvalError, match="non-finite"):
-            rank_heldout(fe, ds, 0, ds.test[0], set(ds.train[0]))
+            rank_all(fe, ds, "test")
 
     def test_overflowing_products_still_rank(self):
         ds = simple_ds([[0]], 4, validation=[1], test=[3])
@@ -377,8 +352,8 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("mode", ["validation", "test"])
     def test_tie_heavy_oracle_through_rank_all(self, mode):
-        # the 1000 cases of test_acceptance.test_metric_oracle, same stream;
-        # at test time the lowest excluded item is the validation item
+        # 1000 randomized tie-heavy cases, one single-user call each; at test
+        # time the lowest excluded item is the validation item
         rng = np.random.default_rng(0)
         n_items = 50
         for case in range(1000):
