@@ -7,9 +7,9 @@ scoring strictly above it + the tied items with a smaller id.
 
 ``rank_all(fe, ds, mode, depth)`` returns each user's rank as ``min(rank,
 depth + 1)``, which is all Recall@N and NDCG@N read for N <= depth; without
-``depth`` the ranks are exact. Each call first allocates one float64 score
-buffer of at most ``_BLOCK_BYTES`` (8 MiB; see there why no smaller) and reuses
-it throughout, then one float32 copy of the embeddings. Users are first
+``depth`` the ranks are exact. Each call first allocates one score buffer of at
+most ``_BLOCK_BYTES`` (8 MiB; see there why no smaller) and reuses it
+throughout the screen, then one float32 copy of the embeddings. Users are first
 screened in float32, over item chunks in descending float32-norm order (the
 copy's item rows are put in that order in place), the items likeliest to beat a
 target first: the first chunk is as many items as the first half of the
@@ -27,14 +27,12 @@ rank (the halves count at disjoint users). A user whose above-count reaches
 ``depth`` leaves the scan: its rank is past ``depth``. After the last chunk, a
 user whose two counts cover every other candidate (NaN falls in neither) is
 certified, for no float64 evaluation of the scores can order the target
-differently, and its rank is 1 + the first count. The users the screen cannot
+differently, and its rank is 1 + the first count. Each user the screen cannot
 certify (near-ties, exact ties, scores that could overflow or underflow
-float32) are scored again in float64 into the same buffer, in item-id order
-with excluded items again NaN, and ranked by the one exact routine, ``_ranks``:
-two compare passes into a bool mask as large as those users' blocks (allocated
-only then), one counting the strict winners per row, the other finding the
-ties, of which only those left of the target's column count. Both passes score
-their user blocks through ``_blocks``.
+float32) is ranked alone by ``_rank_alone``, from the float64 scores
+``fe[n_users:] @ fe[u]`` with excluded items NaN, the product a brute-force
+sort of that user's scores takes. So every rank depends only on the user's own
+row and the item rows, not on the other users, the blocks or the halves.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
 reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
@@ -117,22 +115,18 @@ def _check_embeddings(fe, ds: SplitDataset) -> np.ndarray:
     return fe
 
 
-def _ranks(block: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """1-based rank of column ``targets[r]`` within each row r of ``block``:
-    1 + the columns scoring above it + the tied columns with a smaller id.
-    Excluded columns hold NaN, which is neither above nor equal to any score,
-    so they never compete, not even with a target scoring -inf. ``mask`` is
-    bool scratch of ``block``'s shape; both are C-contiguous."""
-    height, width = block.shape
-    target_scores = block[np.arange(height), targets][:, None]
-    np.greater(block, target_scores, out=mask)
-    # a uint8 sum into int32 takes about half the time of count_nonzero(axis=1)
-    ranks = 1 + np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
-    np.equal(block, target_scores, out=mask)
-    ties = np.flatnonzero(mask)  # ascending: row r's ties below its target lie in [r*w, r*w + target)
-    starts = np.arange(height) * width
-    ranks += np.searchsorted(ties, starts + targets) - np.searchsorted(ties, starts)
-    return ranks
+def _rank_alone(fe: np.ndarray, ds: SplitDataset, mode: str, u: int) -> int:
+    """1-based rank of user u's held-out item by its float64 scores ``fe[n_users:]
+    @ fe[u]`` alone: 1 + the candidates scoring above it + the tied candidates
+    with a smaller id. Excluded items hold NaN, which is neither above nor equal
+    to any score, so they never compete, not even with a target scoring -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = fe[ds.n_users :] @ fe[u]
+    scores[ds.train_items[ds.train_indptr[u] : ds.train_indptr[u + 1]]] = np.nan
+    if mode == "test":
+        scores[ds.validation[u]] = np.nan
+    t = (ds.validation if mode == "validation" else ds.test)[u]
+    return 1 + np.count_nonzero(scores > scores[t]) + np.count_nonzero(scores[:t] == scores[t])
 
 
 def _screen_margins(norms: np.ndarray, n_users: int, d: int) -> np.ndarray:
@@ -194,19 +188,18 @@ def _blocks(rows: np.ndarray, items: np.ndarray, users: np.ndarray, buffer: np.n
     for start in range(0, len(users), step):
         part = users[start : start + step]
         block = buffer[: len(part) * width].reshape(len(part), width)
-        with np.errstate(over="ignore", invalid="ignore"):  # such scores rank or go uncertified
+        with np.errstate(over="ignore", invalid="ignore"):  # such scores go uncertified
             np.matmul(rows[part], items.T, out=block)
         i, j = np.searchsorted(cells, (start * width, (start + len(part)) * width))
         buffer[cells[i:j] - start * width] = np.nan
         yield part, block
 
 
-# Budget of the one user-by-item score buffer of a rank_all call (the float64 pass's
-# bool mask adds up to an eighth). The buffer is freed when the call returns; a smaller
-# freed buffer lowers glibc's heap-trim threshold, and at 4 MiB later training steps
-# page-faulted 4-12x more, so the budget stays at 8 MiB. For the same reason the float32
-# screen blocks are views of the first half of this buffer's bytes: a float32 buffer of
-# its own made some later epochs fault up to 6x more.
+# Budget of the one user-by-item score buffer of a rank_all call. The buffer is freed
+# when the call returns; a smaller freed buffer lowers glibc's heap-trim threshold, and
+# at 4 MiB later training steps page-faulted 4-12x more, so the budget stays at 8 MiB.
+# For the same reason the float32 screen blocks are views of the first half of this
+# buffer's bytes: a float32 buffer of its own made some later epochs fault up to 6x more.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -214,7 +207,7 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     """Held-out ranks for every user, ``min(rank, depth + 1)`` when ``depth``
     is given: screened in float32 over item chunks in descending norm order,
     two halves of the users at once, in one reused buffer of at most
-    ``_BLOCK_BYTES``, and scored again in float64 where it cannot certify.
+    ``_BLOCK_BYTES``; each user it cannot certify is ranked alone in float64.
 
     Candidates are the items the user has not trained on; in test mode the
     user's validation item is excluded too."""
@@ -282,11 +275,9 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
         first.result()  # re-raises what the worker raised
     certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1 - counts)
     ranks = 1 + above.astype(np.int64)
-    rest = np.flatnonzero(~certified & (above < depth))
     del fe32, items32
-    mask = np.empty(min(room, len(rest) * n_items), dtype=bool)  # float64 blocks fill the buffer
-    for part, block in _blocks(fe[:n_users], fe[n_users:], rest, scores, owners, excluded):
-        ranks[part] = _ranks(block, targets[part], mask[: block.size].reshape(block.shape))
+    for u in np.flatnonzero(~certified & (above < depth)):
+        ranks[u] = _rank_alone(fe, ds, mode, u)
     np.minimum(ranks, depth + 1, out=ranks)
     return RankView(ranks)
 

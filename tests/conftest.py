@@ -1,9 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import odecf
 from odecf.data import SplitDataset, synthetic_split
 from odecf.graph import build_adjacency
 from odecf.model import ModelState, SolverConfig, init_embeddings
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# for tests that compare runs under OPENBLAS_NUM_THREADS=1 and =2
+two_blas_threads = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one core: BLAS runs one thread whatever the setting, so the two runs cannot differ")
+
+
+def run_fresh(argv, **env):
+    """Run ``python *argv`` in a new interpreter that imports the odecf under test,
+    with each ``env`` variable set over this environment (None unsets it), assert
+    that it succeeds and return its stdout."""
+    paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
+    env = {name: value for name, value in env.items() if value is not None}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ built on it silently disappears, so a rename must fail here instead.
 import importlib
 import importlib.util
 import inspect
-import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -30,6 +28,8 @@ from odecf.model import (
     init_embeddings,
 )
 from odecf.train import TrainConfig, batch_loss, fit, loss_and_grads, sample_triplets
+
+from conftest import run_fresh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,15 +78,6 @@ def test_a_training_step_makes_the_workloads_spmm_count(monkeypatch, name, calls
     assert len(seen) == expected == calls
 
 
-def run_fresh(code):
-    """Run ``code`` in a new interpreter that imports the odecf under test."""
-    paths = [str(Path(odecf.evaluation.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_package_root_loads_no_submodule_and_run_py_imports_reach_every_target():
     """``run.py`` runs ``import odecf`` and then ``from odecf import data, evaluation,
     graph, model, train``; the package root alone loads no submodule, and those five
@@ -100,7 +91,7 @@ from odecf import data, evaluation, graph, model, train
 for module_name, attr, _ in {load_spans().TARGETS!r}:
     assert callable(getattr(sys.modules[module_name], attr, None)), module_name + "." + attr
 """
-    run_fresh(code)
+    run_fresh(["-c", code])
 
 
 def test_program_imports_leave_scipy_special_unloaded():
@@ -112,7 +103,7 @@ import sys
 from odecf import cli, data, evaluation, graph, model, train
 assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy."))
 """
-    run_fresh(code)
+    run_fresh(["-c", code])
 
 
 def test_adjacency_and_ranks_keep_their_shape():

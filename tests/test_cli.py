@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import odecf
 import odecf.evaluation
 from odecf.cli import (
     EXIT_CONFIG,
@@ -27,6 +21,7 @@ from odecf.evaluation import evaluate, rank_all, write_metrics_csv
 from odecf.model import final_embeddings
 from odecf.train import load_checkpoint, read_checkpoint_meta
 
+from conftest import BLAS_THREAD_VARIABLES, run_fresh
 from test_train import damage_checkpoint
 
 
@@ -467,24 +462,12 @@ def test_output_root_env(tmp_path, monkeypatch, raw_file):
 
 @pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
 def test_cli_defaults_to_one_blas_thread(given, want):
-    paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
-    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    for var in variables:
-        env.pop(var, None)
-        if given is not None:
-            env[var] = given
-    code = f"import os, odecf.cli; print(*(os.environ[v] for v in {variables!r}))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [want] * 3
+    code = f"import os, odecf.cli; print(*(os.environ[v] for v in {BLAS_THREAD_VARIABLES!r}))"
+    out = run_fresh(["-c", code], **dict.fromkeys(BLAS_THREAD_VARIABLES, given))
+    assert out.split() == [want] * 3
 
 
 def test_module_entrypoint_help():
-    paths = [str(Path(odecf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))  # the odecf under test
-    proc = subprocess.run([sys.executable, "-m", "odecf", "--help"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
+    out = run_fresh(["-m", "odecf", "--help"])
     for verb in ("prepare-data", "train", "evaluate", "sweep", "gradcheck"):
-        assert verb in proc.stdout
+        assert verb in out

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,13 @@ from scipy.special import expit
 
 import odecf.model
 
-from conftest import lightgcn_state, make_state
+from conftest import (
+    BLAS_THREAD_VARIABLES,
+    lightgcn_state,
+    make_state,
+    run_fresh,
+    two_blas_threads,
+)
 from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
@@ -435,21 +437,10 @@ print(float(loss).hex(), *(float(g).hex() for g in grads.grad_hop_weights))
 """
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="one core: BLAS runs one thread whatever the setting, so the "
-                           "two runs cannot differ")
+@two_blas_threads
 def test_training_bits_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(odecf.model.__file__).resolve().parents[1])  # the odecf under test
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        proc = subprocess.run([sys.executable, "-c", HOP_WEIGHT_GRADIENT],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = [run_fresh(["-c", HOP_WEIGHT_GRADIENT], **dict.fromkeys(BLAS_THREAD_VARIABLES, n))
+               for n in ("1", "2")]
     assert outputs[0] == outputs[1]
 
 
