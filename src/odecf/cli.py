@@ -284,12 +284,17 @@ def _sweep_values(param: str | None, values: str | None) -> list:
     raw = (values or "").replace(",", " ").split()
     if not raw:
         raise ConfigError("--values: no values given")
+    for x in raw:  # each run's directory is <outdir>/<param>=<value>, one level down
+        if any(sep and sep in x for sep in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"--values: {x!r} holds a path separator")
     return [_coerce(param, x) for x in raw]
 
 
 def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1) -> Path:
-    """One run per comma-separated value of field ``param``, each in its own
-    subdirectory of ``cfg.outdir``, then a consolidated table."""
+    """One run per value of field ``param`` on ``parallel`` worker processes, each
+    in its own subdirectory of ``cfg.outdir``, then a consolidated table."""
+    if parallel < 1:
+        raise ConfigError(f"--parallel: need at least 1 worker, got {parallel}")
     typed = _sweep_values(param, values)
     cfg.validate()
     base = resolve_outdir(cfg.outdir)
@@ -297,12 +302,8 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1)
     # run_experiment resolves each run's outdir, so it extends the unresolved one
     run_cfgs = [replace(cfg, outdir=str(Path(cfg.outdir) / f"{param}={value}"), **{param: value})
                 for value in typed]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(run_experiment, run_cfgs))
-    else:
-        for run_cfg in run_cfgs:
-            run_experiment(run_cfg)
+    with ProcessPoolExecutor(max_workers=parallel) as pool:
+        list(pool.map(run_experiment, run_cfgs))
     emit_sweep_table(base, field=param)
     return base
 
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma-separated values (needed unless --table-only)")
     p.add_argument("--outdir", help="base directory for the runs")
     p.add_argument("--parallel", type=int, default=1,
-                   help="run up to N sweeps as parallel processes")
+                   help="run the sweep on N worker processes (at least 1)")
     p.add_argument("--table-only", action="store_true",
                    help="only rebuild the consolidated table from existing runs")
     p.set_defaults(handler=_cmd_sweep)

@@ -35,15 +35,13 @@ sort of that user's scores takes. So every rank depends only on the user's own
 row and the item rows, not on the other users, the blocks or the halves.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
-reductions read as ``rank_all(...).ranks``. The ``RankView`` around it builds
-``RankResult(user, rank)`` only when indexed or iterated, for the benchmark,
+reductions read as ``rank_all(...).ranks``. ``RankView`` holds only ``.ranks``
+and builds ``RankResult(user, rank)`` only when iterated, for the benchmark,
 which reads ``.rank``; ROADMAP item 4 deletes the view once it reads ``.ranks``.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,22 +60,15 @@ class RankResult(NamedTuple):
     rank: int  # 1-based position among candidate items
 
 
-class RankView(Sequence):
-    """Read-only ``RankResult(user, rank)`` sequence over ``rank_all``'s int64
-    ranks (``.ranks``), user u at index u."""
+class RankView:
+    """``rank_all``'s read-only int64 ranks (``.ranks``), which iterate as
+    ``RankResult(user, rank)`` in user order."""
 
     __slots__ = ("ranks",)
 
     def __init__(self, ranks: np.ndarray):
         ranks.flags.writeable = False
         self.ranks = ranks
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __getitem__(self, index) -> RankResult:
-        user = range(len(self.ranks))[operator.index(index)]
-        return RankResult(user, int(self.ranks[user]))
 
     def __iter__(self):
         return map(RankResult, range(len(self.ranks)), self.ranks.tolist())
@@ -119,13 +110,16 @@ def _rank_alone(fe: np.ndarray, ds: SplitDataset, mode: str, u: int) -> int:
     """1-based rank of user u's held-out item by its float64 scores ``fe[n_users:]
     @ fe[u]`` alone: 1 + the candidates scoring above it + the tied candidates
     with a smaller id. Excluded items hold NaN, which is neither above nor equal
-    to any score, so they never compete, not even with a target scoring -inf."""
+    to any score, so they never compete, not even with a target scoring -inf; a
+    target scoring NaN (products overflowing to +inf and -inf) raises ``EvalError``."""
     with np.errstate(over="ignore", invalid="ignore"):
         scores = fe[ds.n_users :] @ fe[u]
+    t = (ds.validation if mode == "validation" else ds.test)[u]
+    if np.isnan(scores[t]):
+        raise EvalError(f"user {u}: held-out item {t} scores NaN; its rank is undefined")
     scores[ds.train_items[ds.train_indptr[u] : ds.train_indptr[u + 1]]] = np.nan
     if mode == "test":
         scores[ds.validation[u]] = np.nan
-    t = (ds.validation if mode == "validation" else ds.test)[u]
     return 1 + np.count_nonzero(scores > scores[t]) + np.count_nonzero(scores[:t] == scores[t])
 
 

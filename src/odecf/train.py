@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import SplitDataset, train_pairs
+from .evaluation import EvalError
 from .model import SolverError, model_backward, model_forward
 
 
@@ -229,7 +230,8 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     called with the current state after every epoch and must return a report
     exposing ``recall_at(20)`` / ``ndcg_at(20)``; the state with the best
     validation NDCG@20 is returned (a copy, the input state trains in place).
-    A non-finite loss aborts training and returns the best state so far.
+    A non-finite loss, or a post-epoch state that the hook cannot integrate or
+    rank, aborts training and returns the best state so far.
     Beyond the state, only the best copy and Adam's two moments outlive a step:
     each gradient goes once Adam has read it, and the epoch's triplets before the hook.
     """
@@ -268,8 +270,8 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
 
         try:
             report = eval_hook(state)
-        except SolverError:
-            break  # post-epoch state no longer integrates; keep last good checkpoint
+        except (SolverError, EvalError):
+            break  # post-epoch state no longer integrates or ranks; keep last good checkpoint
         record = EpochRecord(
             epoch=epoch,
             loss=total / seen,

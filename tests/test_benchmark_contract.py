@@ -4,6 +4,7 @@ The span tracer skips a target that no longer resolves, and the layer metric
 built on it silently disappears, so a rename must fail here instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -148,7 +149,7 @@ def test_state_calls_keep_their_form():
     """The positional ``create`` calls, ``copy``, ``hop_weights`` and gradient fields of ``run.py``.
 
     ``LightGCNState.create`` survives only as the benchmark's factory for a lightgcn
-    ``ModelState``; ROADMAP item 2 moves ``run.py`` off it and removes it.
+    ``ModelState``; ROADMAP item 4 moves ``run.py`` off it and removes it.
     """
     ds = synthetic_split(n_users=6, n_items=8, seed=3)
     adj = build_adjacency(ds)
@@ -191,11 +192,15 @@ def test_training_and_evaluation_warn_nothing():
 
 
 def test_log_and_split_fields_keep_their_form():
-    """The log rows ``checks.log_arrays`` reads and the split fields ``checks`` and ``run.py`` read."""
+    """The log rows ``checks.log_arrays`` reads, the row-dropping ``replace`` of
+    ``selftest.py``, and the split fields ``checks`` and ``run.py`` read."""
     log, _ = parse_interactions(["u1 i2 30", "u0 i2 10", "u1 i0 20", "u0 i1 40", "u1 i1 50",
                                  "u0 i0 60"])
-    assert [(r.user_key, r.item_key, r.timestamp) for r in log.interactions][:2] == [
-        ("u1", "i2", 30), ("u0", "i2", 10)]
+    rows = [(r.user_key, r.item_key, r.timestamp) for r in log.interactions]
+    assert rows[:2] == [("u1", "i2", 30), ("u0", "i2", 10)]
+    short = dataclasses.replace(log, interactions=log.interactions[1:])
+    assert len(short) == len(log) - 1
+    assert [(r.user_key, r.item_key, r.timestamp) for r in short.interactions] == rows[1:]
     for ds in (leave_one_out_split(log), synthetic_split(n_users=6, n_items=8, seed=1)):
         assert isinstance(ds.user_index, dict) and isinstance(ds.item_index, dict)
         assert ds.n_train_interactions() == len(ds.train_items)

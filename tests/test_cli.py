@@ -376,16 +376,35 @@ class TestSweep:
         assert self.run_sweep_cli(raw_file, outdir, "n_hops", "1,2,3") == EXIT_OK
         assert len((outdir / "sweep.csv").read_text().splitlines()) == 4
 
-    def test_parallel_runs_match_sequential(self, raw_file, tmp_path):
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert self.run_sweep_cli(raw_file, seq, "n_hops", "1,2") == EXIT_OK
+    def test_one_worker_matches_two_workers(self, raw_file, tmp_path):
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert self.run_sweep_cli(raw_file, one, "n_hops", "1,2") == EXIT_OK
         argv = ["sweep", "--param", "n_hops", "--values", "1,2", "--parallel", "2"]
-        for pair in fast_overrides(raw_file, par, max_epochs=2):
+        for pair in fast_overrides(raw_file, two, max_epochs=2):
             argv += ["--set", pair]
         assert main(argv) == EXIT_OK
         for sub in ("n_hops=1", "n_hops=2"):
-            assert ((seq / sub / "train_log.csv").read_bytes()
-                    == (par / sub / "train_log.csv").read_bytes())
+            assert ((one / sub / "train_log.csv").read_bytes()
+                    == (two / sub / "train_log.csv").read_bytes())
+
+    def test_zero_workers_is_a_config_error(self, raw_file, tmp_path, capsys):
+        argv = ["sweep", "--param", "n_hops", "--values", "1,2", "--parallel", "0"]
+        for pair in fast_overrides(raw_file, tmp_path / "s", max_epochs=2):
+            argv += ["--set", pair]
+        assert main(argv) == EXIT_CONFIG
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_value_with_a_path_separator_is_a_config_error(self, raw_file, tmp_path,
+                                                           monkeypatch, capsys):
+        # the second run would land in <outdir>/dataset=d/raw.txt, which the table never lists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "raw.txt").write_bytes(raw_file.read_bytes())
+        rc = self.run_sweep_cli(raw_file, tmp_path / "s", "dataset", "raw.txt,d/raw.txt")
+        assert rc == EXIT_CONFIG
+        assert "'d/raw.txt'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_empty_results_directory_errors(self, tmp_path, capsys):
         rc = main(["sweep", "--table-only", "--outdir", str(tmp_path / "void")])

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -13,8 +12,6 @@ from odecf.data import (
     train_pairs,
     write_split,
 )
-from odecf.evaluation import rank_all
-from odecf.graph import build_adjacency
 
 
 def parse_lines(lines, columns=("user", "item", "time")):
@@ -450,24 +447,3 @@ class TestAgainstReferenceIngest:
         for needle in ("+5", "1_000", "-3", "abc", "u9", "u10", "ユーザ", "\u00a0", "extra"):
             assert needle in text
         assert any(not line.strip() for seed in range(20) for line in dirty_log(seed)[0])
-
-
-def test_interface_read_by_the_benchmark():
-    """The surface the benchmark harness reads: rows with key attributes, a
-    replaceable row array, per-user train lists, a scipy adjacency and ranks."""
-    log, _ = parse_lines(["u1 b 4", "u1 a 2", "u2 a 1", "u1 c 3", "u2 b 5", "u2 c 6", "u1 d 9",
-                          "u2 d 8"])
-    first = log.interactions[0]
-    assert (first.user_key, first.item_key, first.timestamp) == ("u1", "b", 4)
-    short = dataclasses.replace(log, interactions=log.interactions[1:])
-    assert len(short) == len(log) - 1
-    assert rows(short) == rows(log)[1:]
-
-    ds = leave_one_out_split(log)
-    assert ds.train[ds.user_index["u1"]] == [ds.item_index["a"], ds.item_index["c"]]
-    assert all(type(i) is int for items in ds.train for i in items)
-    adj = build_adjacency(ds, allow_isolated_items=True).to_scipy()
-    assert adj.shape == (ds.n_users + ds.n_items,) * 2
-    fe = np.random.default_rng(0).normal(size=(ds.n_users + ds.n_items, 3))
-    ranks = [r.rank for r in rank_all(fe, ds, "test")]
-    assert len(ranks) == ds.n_users and all(type(r) is int and r >= 1 for r in ranks)

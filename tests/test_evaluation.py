@@ -81,7 +81,7 @@ class TestRankOrder:
     def test_unique_maximum_ranks_first(self):
         ds = simple_ds([[1]], 4, validation=[2], test=[3])
         fe = embedding_for_scores([[0.1, 0.0, 0.9, 0.2]], 1)
-        assert rank_all(fe, ds, "validation")[0].rank == 1
+        assert rank_all(fe, ds, "validation").ranks[0] == 1
 
     def test_all_equal_scores_lowest_id_wins(self):
         ds = simple_ds([[3], [3]], 5, validation=[0, 2], test=[1, 1])
@@ -287,18 +287,6 @@ class TestEvaluate:
             assert all(type(r.user) is int and type(r.rank) is int for r in results)
             built.clear()
 
-    def test_rank_view_indexes_like_a_list(self):
-        ds = synthetic_split(n_users=7, n_items=10, seed=12)
-        fe = np.random.default_rng(13).normal(size=(ds.n_users + ds.n_items, 4))
-        view = rank_all(fe, ds, "test")
-        results = list(view)
-        assert len(view) == ds.n_users
-        assert [view[u] for u in range(-ds.n_users, ds.n_users)] == results + results
-        assert type(view[np.int64(2)].rank) is int
-        for index in (ds.n_users, -ds.n_users - 1):
-            with pytest.raises(IndexError):
-                view[index]
-
     def test_scale_invariance_of_ranks(self):
         ds = synthetic_split(n_users=10, n_items=12, seed=9)
         fe = np.random.default_rng(10).normal(size=(ds.n_users + ds.n_items, 5))
@@ -322,7 +310,7 @@ class TestEvaluate:
         # test-mode candidates puts the test item first
         ds = simple_ds([[0]], 4, validation=[1], test=[2])
         fe = embedding_for_scores([[9.0, 2.0, 1.0, 0.0]], 1)
-        assert rank_all(fe, ds, "test")[0].rank == 1
+        assert rank_all(fe, ds, "test").ranks[0] == 1
 
     def test_dimension_mismatch(self):
         ds = simple_ds([[0]], 2, validation=[1], test=[1])
@@ -344,7 +332,22 @@ class TestEvaluate:
         ds = simple_ds([[0]], 4, validation=[1], test=[3])
         fe = embedding_for_scores([[0.0, 3e300, 1e300, 2e300]], 1)
         fe[0] = 1e300  # finite rows: items 1, 2 and 3 all score +inf; item 1 is excluded
-        assert rank_all(fe, ds, "test")[0].rank == 2
+        assert rank_all(fe, ds, "test").ranks[0] == 2
+
+    @pytest.mark.parametrize("mode", ["validation", "test"])
+    def test_nan_held_out_score_is_an_error(self, mode):
+        # finite rows whose products overflow to +inf and -inf: item 3 scores NaN (summed
+        # over two columns the same rows give -inf, so the setup checks the NaN)
+        ds = simple_ds([[0]], 4, validation=[3 if mode == "validation" else 1], test=[3])
+        fe = np.zeros((1 + 4, 4))
+        fe[0] = [1e300, 1e300, 0, 0]
+        fe[1 + 3] = [1e300, -1e300, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(fe[1:] @ fe[0])[3]
+        with pytest.raises(EvalError, match="user 0"):
+            rank_all(fe, ds, mode)
+        with pytest.raises(EvalError, match="user 0"):
+            evaluate(fe, ds, mode, [1])
 
 
 class TestFloat32Screen:
@@ -369,7 +372,7 @@ class TestFloat32Screen:
                 ds = simple_ds([excl[1:]], n_items, validation=[excl[0]], test=[target])
             fe = embedding_for_scores([scores], 1)
             want = brute_force_rank(scores, target, set(excl))
-            assert rank_all(fe, ds, mode)[0].rank == want
+            assert rank_all(fe, ds, mode).ranks[0] == want
 
     @staticmethod
     def planted(case):
@@ -412,7 +415,7 @@ class TestFloat32Screen:
         ds = simple_ds([[int(np.argmax(scores))]], n_items, validation=[target], test=[target])
         fe = embedding_for_scores([scores], 1)
         monkeypatch.setattr(odecf.evaluation, "_rank_alone", None)  # not called
-        assert rank_all(fe, ds, "validation")[0].rank == n_items - 1000 - 1
+        assert rank_all(fe, ds, "validation").ranks[0] == n_items - 1000 - 1
 
     def test_only_uncertain_rows_reach_the_float64_ranking(self, monkeypatch):
         # scores 1e-3 apart leave the screen nothing to hand on; an all-zero
