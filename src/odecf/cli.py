@@ -102,8 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"field 'columns': {exc}") from exc
         if self.dims < 1:
             raise ConfigError(f"field 'dims': must be >= 1, got {self.dims}")
-        if not self.init_std > 0:
-            raise ConfigError(f"field 'init_std': must be > 0, got {self.init_std}")
+        if not (np.isfinite(self.init_std) and self.init_std > 0):
+            raise ConfigError(f"field 'init_std': must be positive and finite, got {self.init_std}")
         if self.k_core < 1:
             raise ConfigError(f"field 'k_core': must be >= 1, got {self.k_core}")
         self.eval_n_list()
@@ -287,7 +287,11 @@ def _sweep_values(param: str | None, values: str | None) -> list:
     for x in raw:  # each run's directory is <outdir>/<param>=<value>, one level down
         if any(sep and sep in x for sep in ("/", os.sep, os.altsep)):
             raise ConfigError(f"--values: {x!r} holds a path separator")
-    return [_coerce(param, x) for x in raw]
+    typed = [_coerce(param, x) for x in raw]
+    for k, value in enumerate(typed):  # equal values would share one run directory
+        if value in typed[:k]:
+            raise ConfigError(f"--values: {raw[k]!r} repeats the value {value!r}")
+    return typed
 
 
 def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1) -> Path:
@@ -295,13 +299,13 @@ def run_sweep(cfg: ExperimentConfig, param: str, values: str, parallel: int = 1)
     in its own subdirectory of ``cfg.outdir``, then a consolidated table."""
     if parallel < 1:
         raise ConfigError(f"--parallel: need at least 1 worker, got {parallel}")
-    typed = _sweep_values(param, values)
-    cfg.validate()
-    base = resolve_outdir(cfg.outdir)
-    base.mkdir(parents=True, exist_ok=True)
     # run_experiment resolves each run's outdir, so it extends the unresolved one
     run_cfgs = [replace(cfg, outdir=str(Path(cfg.outdir) / f"{param}={value}"), **{param: value})
-                for value in typed]
+                for value in _sweep_values(param, values)]
+    for run_cfg in run_cfgs:  # every run is checked before any starts
+        run_cfg.validate()
+    base = resolve_outdir(cfg.outdir)
+    base.mkdir(parents=True, exist_ok=True)
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         list(pool.map(run_experiment, run_cfgs))
     emit_sweep_table(base, field=param)

@@ -26,7 +26,7 @@ class ModelError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when integration produces non-finite values."""
+    """Raised when propagation or a training batch's loss produces non-finite values."""
 
 
 _METHODS = ("euler", "rk4", "lightgcn")
@@ -207,8 +207,8 @@ def init_embeddings(n_rows: int, dims: int, std: float, seed: int) -> np.ndarray
     """Seeded i.i.d. Gaussian initial embeddings, mean 0 and the given std."""
     if n_rows < 1 or dims < 1:
         raise ModelError(f"embedding shape ({n_rows}, {dims}) must be positive")
-    if not std > 0:
-        raise ModelError(f"init std must be > 0, got {std}")
+    if not (np.isfinite(std) and std > 0):
+        raise ModelError(f"init std must be positive and finite, got {std}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, std, size=(n_rows, dims))
 

@@ -58,16 +58,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise TrainError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.l2_lambda < 0:
-            raise TrainError(f"l2 coefficient must be >= 0, got {self.l2_lambda}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if not (np.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise TrainError(f"l2 coefficient must be >= 0 and finite, got {self.l2_lambda}")
         if self.batch_size < 1:
             raise TrainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise TrainError(f"max epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:
             raise TrainError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -164,9 +166,11 @@ def _score_head(batch: TripletBatch, state, fe, l2_lambda: float):
     rows = np.concatenate([batch.users, n_users + batch.pos_items, n_users + batch.neg_items])
     counts = np.bincount(rows, minlength=fe.shape[0])
     l2 = float(np.einsum("i,i->", counts, np.einsum("ij,ij->i", state.e0, state.e0)))
-    loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
-    with np.errstate(over="ignore"):  # -sigmoid(-margin) / B, and -0.0 where exp overflows
-        return loss, -1.0 / (1.0 + np.exp(pos - neg)) / size, counts
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores raise as divergence
+        loss = bpr_loss(pos, neg, l2 / size, l2_lambda)
+        if not np.isfinite(loss):
+            raise SolverError(f"divergent training: non-finite batch loss {loss}")
+        return loss, -1.0 / (1.0 + np.exp(pos - neg)) / size, counts  # -0.0 where exp overflows
 
 
 def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
@@ -230,8 +234,9 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     called with the current state after every epoch and must return a report
     exposing ``recall_at(20)`` / ``ndcg_at(20)``; the state with the best
     validation NDCG@20 is returned (a copy, the input state trains in place).
-    A non-finite loss, or a post-epoch state that the hook cannot integrate or
-    rank, aborts training and returns the best state so far.
+    Training stops at the first ``SolverError`` (a step's propagation or batch
+    loss is non-finite) or ``EvalError`` (the hook cannot rank the state) and
+    returns the best state so far.
     Beyond the state, only the best copy and Adam's two moments outlive a step:
     each gradient goes once Adam has read it, and the epoch's triplets before the hook.
     """
@@ -243,51 +248,40 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     best_state = state.copy()
     best_metric = -np.inf
     since_best = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        started = time.perf_counter()
-        triplets = epoch_triplets(ds, rng)
-        total = 0.0
-        seen = 0
-        diverged = False
-        for lo in range(0, len(triplets), cfg.batch_size):
-            batch = triplets.slice(lo, lo + cfg.batch_size)
-            try:
+    try:
+        for epoch in range(1, cfg.max_epochs + 1):
+            started = time.perf_counter()
+            triplets = epoch_triplets(ds, rng)
+            total = 0.0
+            for lo in range(0, len(triplets), cfg.batch_size):
+                batch = triplets.slice(lo, lo + cfg.batch_size)
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss, grads = loss_and_grads(state, batch, cfg.l2_lambda)
-            except SolverError:
-                diverged = True
-                break
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            adam_step(params, grads.as_list(), opt, cfg.learning_rate)
-            del grads  # one N x d table, not to sit beside the next step's passes
-            total += loss * len(batch)
-            seen += len(batch)
-        del triplets, batch  # the slice is a view that keeps the epoch's arrays
-        if diverged:
-            break
+                adam_step(params, grads.as_list(), opt, cfg.learning_rate)
+                del grads  # one N x d table, not to sit beside the next step's passes
+                total += loss * len(batch)
+            mean_loss = total / len(triplets)  # every train pair once
+            del triplets, batch  # the slice is a view that keeps the epoch's arrays
 
-        try:
             report = eval_hook(state)
-        except (SolverError, EvalError):
-            break  # post-epoch state no longer integrates or ranks; keep last good checkpoint
-        record = EpochRecord(
-            epoch=epoch,
-            loss=total / seen,
-            recall20=report.recall_at(20),
-            ndcg20=report.ndcg_at(20),
-            seconds=time.perf_counter() - started,
-        )
-        history.append(record)
-        if record.ndcg20 > best_metric:
-            best_metric = record.ndcg20
-            best_state = state.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+            record = EpochRecord(
+                epoch=epoch,
+                loss=mean_loss,
+                recall20=report.recall_at(20),
+                ndcg20=report.ndcg_at(20),
+                seconds=time.perf_counter() - started,
+            )
+            history.append(record)
+            if record.ndcg20 > best_metric:
+                best_metric = record.ndcg20
+                best_state = state.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+    except (SolverError, EvalError):
+        pass  # the state no longer propagates, scores or ranks; keep the best so far
     return history, best_state
 
 

@@ -113,6 +113,25 @@ class TestConfig:
         assert main(argv) == EXIT_CONFIG
         assert repr(pair.split("=")[0]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, named", [
+        ("l2_lambda=nan", "l2 coefficient"), ("l2_lambda=inf", "l2 coefficient"),
+        ("learning_rate=inf", "learning rate"), ("init_std=inf", "'init_std'"),
+        ("seed=-1", "seed"),
+    ])
+    def test_non_finite_rate_or_scale_and_negative_seed_are_config_errors(
+            self, raw_file, tmp_path, capsys, pair, named):
+        argv = ["train"]
+        for item in fast_overrides(raw_file, tmp_path / "run") + [pair]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["evaluate", "--checkpoint", "run", "--mode", "bogus"]])
+    def test_usage_error_is_a_config_error(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_lightgcn_with_hop_weights_is_a_config_error(self, raw_file, tmp_path, capsys):
         argv = ["train"]
         for item in fast_overrides(raw_file, tmp_path / "run", method="lightgcn",
@@ -298,6 +317,17 @@ class TestPrepareAndEvaluate:
         err = self.train_then_evaluate(raw_file, tmp_path / "run", capsys)
         assert "different config" not in err
 
+    def test_evaluate_under_another_config_prints_the_note(self, raw_file, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        overrides = []
+        for pair in fast_overrides(raw_file, outdir):
+            overrides += ["--set", pair]
+        assert main(["train"] + overrides) == EXIT_OK
+        capsys.readouterr()
+        argv = ["evaluate", "--checkpoint", str(outdir)] + overrides + ["--set", "t1=0.8"]
+        assert main(argv) == EXIT_OK
+        assert "checkpoint was trained under a different config" in capsys.readouterr().err
+
     def test_unweighted_rerun_drops_stale_hop_weights(self, raw_file, tmp_path, capsys):
         outdir = tmp_path / "run"
         self.train_then_evaluate(raw_file, outdir, capsys, use_weights="true")
@@ -406,6 +436,19 @@ class TestSweep:
         assert "'d/raw.txt'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("param, values, named", [
+        ("dims", "4,0", "'dims'"),  # the dims=4 run would train before dims=0 failed
+        ("t1", "0.9,0.90", "'0.90'"),  # both runs would write into t1=0.9 at once
+    ])
+    def test_every_run_is_checked_before_any_starts(self, raw_file, tmp_path, capsys,
+                                                   param, values, named):
+        argv = ["sweep", "--param", param, "--values", values, "--parallel", "2"]
+        for pair in fast_overrides(raw_file, tmp_path / "s", max_epochs=2):
+            argv += ["--set", pair]
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_empty_results_directory_errors(self, tmp_path, capsys):
         rc = main(["sweep", "--table-only", "--outdir", str(tmp_path / "void")])
         assert rc == EXIT_RUNTIME
@@ -431,7 +474,8 @@ class TestSweep:
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [["n_hops", "1"]]
         capsys.readouterr()
-        emit_sweep_table(outdir)  # --table-only keeps every sweep, each row naming its field
+        # --table-only keeps every sweep, each row naming its field
+        assert main(["sweep", "--table-only", "--outdir", str(outdir)]) == EXIT_OK
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["n_hops", "1"], ["t1", "0.8"], ["t1", "0.9"]]

@@ -37,6 +37,11 @@ class TestSolverConfig:
             SolverConfig(method="lightgcn", use_weights=True)
         assert SolverConfig(t1=0.8, steps=4).step_size == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("std", [0.0, np.inf, np.nan])
+    def test_init_std_must_be_positive_and_finite(self, std):
+        with pytest.raises(ModelError, match="init std"):
+            init_embeddings(4, 2, std, 0)
+
     def test_state_weight_consistency(self):
         adj = build_adjacency(simple_ds([[0]], 1))
         e0 = np.zeros((2, 2))

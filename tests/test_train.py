@@ -17,7 +17,13 @@ from conftest import (
 from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
-from odecf.model import final_embeddings, init_embeddings, model_backward, model_forward
+from odecf.model import (
+    SolverError,
+    final_embeddings,
+    init_embeddings,
+    model_backward,
+    model_forward,
+)
 from odecf.train import (
     OptimizerState,
     TrainConfig,
@@ -550,6 +556,23 @@ class TestFit:
         history, best = fit(toy_ds, state, cfg, validation_hook(toy_ds))
         assert len(history) < 3
         assert np.isfinite(best.e0).all()
+
+    def test_overflowing_scores_raise_and_fit_keeps_the_initial_state(self):
+        # rows of 1e160 propagate to finite embeddings, but their products overflow,
+        # so the batch loss is not finite; no warning escapes (warnings are errors here)
+        ds = synthetic_split(10, 12, seed=0)
+        state = make_state(ds, dims=4, allow_isolated_items=True)
+        state.e0[:] = 1e160
+        assert np.isfinite(final_embeddings(state)).all()
+        batch = sample_triplets(ds, 8, np.random.default_rng(0))
+        with pytest.raises(SolverError, match="non-finite batch loss"):
+            batch_loss(state, batch, 1e-4)
+        with pytest.raises(SolverError, match="non-finite batch loss"):
+            loss_and_grads(state, batch, 1e-4)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=5, seed=0)
+        history, best = fit(ds, state, cfg, validation_hook(ds))
+        assert history == []
+        assert best is not state and np.all(best.e0 == 1e160)
 
     @pytest.mark.parametrize("model", ["euler", "rk4-weighted", "lightgcn"])
     def test_fit_keeps_only_the_best_copy_and_adam_moments_alive(self, monkeypatch, model):
