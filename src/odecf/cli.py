@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -25,26 +26,17 @@ import numpy as np  # noqa: E402
 from . import __version__
 from .data import (
     DataError,
+    SplitDataset,
     column_positions,
     k_core_filter,
     leave_one_out_split,
     parse_interactions,
-    write_split,
+    train_pairs,
 )
-from .evaluation import evaluate, write_metrics_csv
+from .evaluation import evaluate
 from .graph import build_adjacency
 from .model import ModelState, SolverConfig, final_embeddings, init_embeddings
-from .train import (
-    TrainConfig,
-    TrainError,
-    fit,
-    finite_difference_check,
-    load_checkpoint,
-    read_checkpoint_meta,
-    sample_triplets,
-    save_checkpoint,
-    write_training_log,
-)
+from .train import TrainConfig, TrainError, fit, finite_difference_check, sample_triplets
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,6 +45,9 @@ EXIT_RUNTIME = 2
 OUTPUT_ROOT_ENV = "ODECF_OUTPUT_ROOT"
 
 GRADCHECK_TOLERANCE = 1e-5
+
+# A '#' opens a config-file comment at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(ValueError):
@@ -92,6 +87,10 @@ class ExperimentConfig:
         return values
 
     def validate(self) -> None:
+        for name, value in vars(self).items():  # config.txt must read each string back whole
+            if isinstance(value, str) and _COMMENT.search(value):
+                raise ConfigError(f"field {name!r}: {value!r} has a '#' at its start or "
+                                  "after whitespace, which config.txt would read as a comment")
         if not self.dataset:
             raise ConfigError("field 'dataset': no interaction file configured")
         if not Path(self.dataset).exists():
@@ -149,7 +148,7 @@ def _coerce(name: str, raw: str):
 def parse_config_text(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -222,6 +221,99 @@ def build_state(cfg: ExperimentConfig, ds):
     return ModelState.create(e0, adjacency, cfg.solver_config())
 
 
+# The run directory: every file a run writes or reads back is written and parsed
+# in this module. _RUN_FILES are the files run_experiment writes, in manifest order.
+_RUN_FILES = ("config.txt", "train_log.csv", "metrics.csv", "checkpoint.emb", "checkpoint_meta.txt")
+
+
+def write_split(ds: SplitDataset, outdir) -> None:
+    """Write train/val/test text files plus the key->id maps."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    np.savetxt(outdir / "train.txt", np.column_stack(train_pairs(ds)), fmt="%d")
+    for name, column in (("val.txt", ds.validation), ("test.txt", ds.test)):
+        np.savetxt(outdir / name, np.column_stack((np.arange(ds.n_users), column)), fmt="%d")
+    for name, index in (("user_map.txt", ds.user_index), ("item_map.txt", ds.item_index)):
+        text = "".join(f"{key}\t{idx}\n" for key, idx in sorted(index.items(), key=lambda kv: kv[1]))
+        (outdir / name).write_text(text, encoding="utf-8")
+
+
+def write_training_log(path, history, log_timing: bool = True) -> None:
+    """CSV training curve: epoch,loss,recall20,ndcg20,seconds."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,loss,recall20,ndcg20,seconds\n")
+        for r in history:
+            seconds = repr(round(float(r.seconds), 3)) if log_timing else "0.0"
+            fh.write(f"{r.epoch},{float(r.loss)!r},{float(r.recall20)!r},"
+                     f"{float(r.ndcg20)!r},{seconds}\n")
+
+
+def write_metrics_csv(path, entries) -> None:
+    """CSV rows 'mode,N,recall,ndcg,users' for (mode, MetricsReport) pairs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("mode,N,recall,ndcg,users\n")
+        for mode, report in entries:
+            for n, recall, ndcg in zip(report.n_values, report.recall, report.ndcg):
+                fh.write(f"{mode},{n},{float(recall)!r},{float(ndcg)!r},{report.users_evaluated}\n")
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Run ``write(tmp)`` on a sibling temp file, then move it over ``path``, so
+    a failed write leaves the previous file in place."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) -> None:
+    """Persist e0 as ``checkpoint.emb`` (numpy ``.npy`` format) and the metadata,
+    with the hop weights when they train, as ``checkpoint_meta.txt``. Each file
+    is written to a temp file and then moved into place.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    def write_e0(tmp):
+        with open(tmp, "wb") as fh:  # np.save given a path would append ".npy"
+            np.save(fh, state.e0)
+
+    _write_replacing(outdir / "checkpoint.emb", write_e0)
+    text = f"epoch={epoch}\nmetric={metric!r}\nconfig_hash={config_hash}\n"
+    if state.hop_weights is not None:
+        text += "hop_weights=" + ",".join(repr(float(w)) for w in state.hop_weights) + "\n"
+    _write_replacing(outdir / "checkpoint_meta.txt",
+                     lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def read_checkpoint_meta(indir) -> dict[str, str]:
+    """The key=value pairs of ``checkpoint_meta.txt`` in ``indir``."""
+    meta = {}
+    with open(Path(indir) / "checkpoint_meta.txt", "r", encoding="utf-8") as fh:
+        for line in fh:
+            if "=" in line:
+                key, value = line.rstrip("\n").split("=", 1)
+                meta[key] = value
+    return meta
+
+
+def load_checkpoint(indir):
+    """Read back (e0, hop_weights or None, metadata dict); :class:`TrainError`
+    when ``checkpoint.emb`` is no complete ``.npy`` array or a hop weight no float."""
+    path = Path(indir) / "checkpoint.emb"
+    meta = read_checkpoint_meta(indir)
+    try:
+        e0 = np.load(path)
+        weights = meta.get("hop_weights")
+        weights = None if weights is None else np.array([float(w) for w in weights.split(",")])
+    except (ValueError, EOFError) as exc:
+        raise TrainError(f"checkpoint {path} (with the hop_weights of its meta file) "
+                         f"is unreadable: {exc}") from exc
+    return e0, weights, meta
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Full data -> graph -> fit -> evaluate pipeline; returns the run directory."""
     cfg.validate()
@@ -262,13 +354,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     write_metrics_csv(outdir / "metrics.csv",
                       [("validation", val_report), ("test", test_report)])
 
-    checkpoint_paths = save_checkpoint(outdir, best, best_epoch, best_metric, config_hash(cfg))
-
-    artifacts = [outdir / "config.txt", outdir / "train_log.csv", outdir / "metrics.csv"]
-    artifacts.extend(checkpoint_paths)
-    with open(outdir / "manifest.txt", "w", encoding="utf-8") as fh:
-        for p in artifacts:
-            fh.write(p.name + "\n")
+    save_checkpoint(outdir, best, best_epoch, best_metric, config_hash(cfg))
+    (outdir / "manifest.txt").write_text("".join(name + "\n" for name in _RUN_FILES),
+                                         encoding="utf-8")
 
     for n, recall, ndcg in zip(test_report.n_values, test_report.recall, test_report.ndcg):
         print(f"test recall@{n}={recall:.6f} ndcg@{n}={ndcg:.6f}")
@@ -443,6 +531,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     worst = run_gradcheck(seed=args.seed)
     return EXIT_OK if worst < GRADCHECK_TOLERANCE else EXIT_RUNTIME
 

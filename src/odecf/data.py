@@ -1,7 +1,8 @@
 """Interaction ingestion, k-core filtering, and chronological leave-one-out splits.
 
-All functions here are pure: they take immutable-ish inputs and return new
-objects, so they are safe to call from any thread. Data travels as integer
+Nothing here writes a file, and only ``parse_interactions`` reads one, its
+input. The other functions are pure: they take immutable-ish inputs and return
+new objects, so they are safe to call from any thread. Data travels as integer
 columns: parsing codes each key once in a dict, and the dedupe, the k-core
 peel, the split and the train pairs are array operations on those codes.
 """
@@ -252,18 +253,6 @@ def _group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> tuple[
     """CSR ``(indptr, items)`` of the pairs, keeping their order within each user."""
     indptr = np.r_[0, np.cumsum(np.bincount(users, minlength=n_users))]
     return indptr, items[np.argsort(users, kind="stable")]
-
-
-def write_split(ds: SplitDataset, outdir) -> None:
-    """Write train/val/test text files plus the key->id maps."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(outdir / "train.txt", np.column_stack(train_pairs(ds)), fmt="%d")
-    for name, column in (("val.txt", ds.validation), ("test.txt", ds.test)):
-        np.savetxt(outdir / name, np.column_stack((np.arange(ds.n_users), column)), fmt="%d")
-    for name, index in (("user_map.txt", ds.user_index), ("item_map.txt", ds.item_index)):
-        text = "".join(f"{key}\t{idx}\n" for key, idx in sorted(index.items(), key=lambda kv: kv[1]))
-        (outdir / name).write_text(text, encoding="utf-8")
 
 
 def synthetic_split(n_users: int, n_items: int, seed: int, min_train: int = 3,

@@ -318,12 +318,3 @@ def evaluate(fe: np.ndarray, ds: SplitDataset, mode: str, n_values) -> MetricsRe
         ndcg=[ndcg_at_n(ranks, n) for n in n_values],
         users_evaluated=len(ranks),
     )
-
-
-def write_metrics_csv(path, entries) -> None:
-    """CSV rows 'mode,N,recall,ndcg,users' for (mode, MetricsReport) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mode,N,recall,ndcg,users\n")
-        for mode, report in entries:
-            for n, recall, ndcg in zip(report.n_values, report.recall, report.ndcg):
-                fh.write(f"{mode},{n},{float(recall)!r},{float(ndcg)!r},{report.users_evaluated}\n")

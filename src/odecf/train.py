@@ -7,17 +7,13 @@ more; gradients agree with central finite differences to numerical precision.
 The batch loss's gradient wrt the final embeddings is one sparse N x N
 product with them, and its L2 term's is e0 scaled row-wise by use counts.
 Negatives are sampled in bulk by rejection against the dataset's sorted train
-keys ``user * n_items + item``, searched by bisection. A checkpoint is e0 in
-numpy's ``.npy`` format plus a key=value meta file that also holds the hop
-weights when they train.
+keys ``user * n_items + item``, searched by bisection.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -283,74 +279,6 @@ def fit(ds: SplitDataset, state, cfg: TrainConfig, eval_hook):
     except (SolverError, EvalError):
         pass  # the state no longer propagates, scores or ranks; keep the best so far
     return history, best_state
-
-
-def write_training_log(path, history, log_timing: bool = True) -> None:
-    """CSV training curve: epoch,loss,recall20,ndcg20,seconds."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,recall20,ndcg20,seconds\n")
-        for r in history:
-            seconds = repr(round(float(r.seconds), 3)) if log_timing else "0.0"
-            fh.write(f"{r.epoch},{float(r.loss)!r},{float(r.recall20)!r},"
-                     f"{float(r.ndcg20)!r},{seconds}\n")
-
-
-def _write_replacing(path: Path, write) -> None:
-    """Run ``write(tmp)`` on a sibling temp file, then move it over ``path``, so
-    a failed write leaves the previous file in place."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def save_checkpoint(outdir, state, epoch: int, metric: float, config_hash: str) -> list[Path]:
-    """Persist e0 as ``checkpoint.emb`` (numpy ``.npy`` format) and the metadata,
-    with the hop weights when they train, as ``checkpoint_meta.txt``; returns
-    both paths. Each file is written to a temp file and then moved into place.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = [outdir / "checkpoint.emb", outdir / "checkpoint_meta.txt"]
-
-    def write_e0(tmp):
-        with open(tmp, "wb") as fh:  # np.save given a path would append ".npy"
-            np.save(fh, state.e0)
-
-    _write_replacing(paths[0], write_e0)
-    text = f"epoch={epoch}\nmetric={metric!r}\nconfig_hash={config_hash}\n"
-    if state.hop_weights is not None:
-        text += "hop_weights=" + ",".join(repr(float(w)) for w in state.hop_weights) + "\n"
-    _write_replacing(paths[1], lambda tmp: tmp.write_text(text, encoding="utf-8"))
-    return paths
-
-
-def read_checkpoint_meta(indir) -> dict[str, str]:
-    """The key=value pairs of ``checkpoint_meta.txt`` in ``indir``."""
-    meta = {}
-    with open(Path(indir) / "checkpoint_meta.txt", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = line.rstrip("\n").split("=", 1)
-                meta[key] = value
-    return meta
-
-
-def load_checkpoint(indir):
-    """Read back (e0, hop_weights or None, metadata dict); :class:`TrainError`
-    when ``checkpoint.emb`` is no complete ``.npy`` array or a hop weight no float."""
-    path = Path(indir) / "checkpoint.emb"
-    meta = read_checkpoint_meta(indir)
-    try:
-        e0 = np.load(path)
-        weights = meta.get("hop_weights")
-        weights = None if weights is None else np.array([float(w) for w in weights.split(",")])
-    except (ValueError, EOFError) as exc:
-        raise TrainError(f"checkpoint {path} (with the hop_weights of its meta file) "
-                         f"is unreadable: {exc}") from exc
-    return e0, weights, meta
 
 
 def finite_difference_check(state, batch: TripletBatch, l2_lambda: float) -> float:

@@ -107,6 +107,14 @@ assert "scipy.special" not in sys.modules, sorted(m for m in sys.modules if m.st
     run_fresh(["-c", code])
 
 
+def test_benchmark_selftest_passes(tmp_path):
+    """The contract tests above pin the benchmark's calls one by one; its own
+    tests drive its whole pipeline through the program."""
+    out = run_fresh(["-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path}",
+                     str(PERFBENCH / "selftest.py")])
+    assert " passed" in out and "failed" not in out
+
+
 def test_adjacency_and_ranks_keep_their_shape():
     ds = synthetic_split(n_users=6, n_items=8, seed=1)
     assert isinstance(build_adjacency(ds).to_scipy(), sp.csr_matrix)

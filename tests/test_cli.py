@@ -13,13 +13,15 @@ from odecf.cli import (
     config_echo,
     config_hash,
     emit_sweep_table,
+    load_checkpoint,
     load_config,
     main,
+    read_checkpoint_meta,
     run_experiment,
+    write_metrics_csv,
 )
-from odecf.evaluation import evaluate, rank_all, write_metrics_csv
+from odecf.evaluation import evaluate, rank_all
 from odecf.model import final_embeddings
-from odecf.train import load_checkpoint, read_checkpoint_meta
 
 from conftest import BLAS_THREAD_VARIABLES, run_fresh
 from test_train import damage_checkpoint
@@ -127,6 +129,43 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("verb, args, named", [
+        ("train", ["--set", "eval_n=a"], "'eval_n'"),
+        ("train", ["--set", "eval_n=0"], "'eval_n'"),
+        ("train", ["--set", "dataset="], "'dataset'"),
+        ("train", ["--set", "k_core=0"], "'k_core'"),
+        ("train", ["--set", "max_epochs=-1"], "max epochs"),
+        ("train", ["--set", "dataset=#raw.txt"], "'dataset': '#raw.txt' has a '#'"),
+        ("train", ["--set", "eval_n=10 #20"], "'eval_n': '10 #20' has a '#'"),
+        ("train", ["--config", "bad.cfg"], "line 2: expected key=value"),
+        ("train", ["--config", "absent.cfg"], "absent.cfg"),
+        ("train", ["--set", "k_core"], "'k_core' is not key=value"),
+        ("sweep", [], "--param"),
+        ("sweep", ["--param", "t1", "--values", ""], "--values"),
+    ])
+    def test_error_exits_naming_its_field_or_flag(self, raw_file, tmp_path, monkeypatch, capsys,
+                                                  verb, args, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("dims = 8\nnot a pair\n")
+        argv = [verb]
+        for pair in fast_overrides(raw_file, tmp_path / "run"):
+            argv += ["--set", pair]
+        assert main(argv + args) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_hash_in_a_value_survives_config_txt(self, raw_file, tmp_path, capsys):
+        dataset = tmp_path / "a#b" / "raw.txt"
+        dataset.parent.mkdir()
+        dataset.write_bytes(raw_file.read_bytes())
+        outdir = tmp_path / "run#1"
+        overrides = fast_overrides(dataset, outdir)
+        assert main(["train"] + [arg for pair in overrides for arg in ("--set", pair)]) == EXIT_OK
+        argv = ["evaluate", "--config", str(outdir / "config.txt"), "--checkpoint", str(outdir)]
+        assert main(argv) == EXIT_OK
+        assert "different config" not in capsys.readouterr().err
+        assert load_config(outdir / "config.txt") == load_config(overrides=overrides)
+
     @pytest.mark.parametrize("argv", [[], ["evaluate", "--checkpoint", "run", "--mode", "bogus"]])
     def test_usage_error_is_a_config_error(self, capsys, argv):
         assert main(argv) == EXIT_CONFIG
@@ -154,6 +193,7 @@ class TestRunExperiment:
         for name in manifest:
             target = outdir / name
             assert target.exists() and target.stat().st_size > 0
+        assert sorted(manifest + ["manifest.txt"]) == sorted(p.name for p in outdir.iterdir())
         log_lines = (outdir / "train_log.csv").read_text().splitlines()
         assert log_lines[0] == "epoch,loss,recall20,ndcg20,seconds"
         assert len(log_lines) == 4
@@ -455,13 +495,16 @@ class TestSweep:
 
     def test_malformed_run_directory_skipped_with_warning(self, raw_file, tmp_path, capsys):
         outdir = tmp_path / "sweep_bad"
-        assert self.run_sweep_cli(raw_file, outdir, "t1", "0.8,0.9") == EXIT_OK
+        assert self.run_sweep_cli(raw_file, outdir, "t1", "0.8,0.9,1") == EXIT_OK
         broken = outdir / "t1=0.8"
         (broken / "metrics.csv").unlink()
+        metrics = outdir / "t1=1.0" / "metrics.csv"
+        metrics.write_text(metrics.read_text().replace("mode,N,", "mode,n,", 1))
         capsys.readouterr()
         assert emit_sweep_table(outdir).exists()
         err = capsys.readouterr().err
         assert "skipping" in err and "t1=0.8" in err
+        assert "t1=1.0" in err and "unexpected metrics header" in err
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 2
 
@@ -513,6 +556,10 @@ class TestGradcheckVerb:
         out = capsys.readouterr().out
         assert out.count("max_rel_err") == 12 + 1
         assert "[OK]" in out
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_output_root_env(tmp_path, monkeypatch, raw_file):

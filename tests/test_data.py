@@ -3,6 +3,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from odecf.cli import write_split
 from odecf.data import (
     DataError,
     k_core_filter,
@@ -10,7 +11,6 @@ from odecf.data import (
     parse_interactions,
     synthetic_split,
     train_pairs,
-    write_split,
 )
 
 

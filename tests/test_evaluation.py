@@ -7,6 +7,7 @@ import pytest
 
 import odecf.evaluation
 
+from odecf.cli import write_metrics_csv
 from odecf.data import synthetic_split
 from odecf.evaluation import (
     EvalError,
@@ -16,7 +17,6 @@ from odecf.evaluation import (
     ndcg_at_n,
     rank_all,
     recall_at_n,
-    write_metrics_csv,
 )
 
 from conftest import BLAS_THREAD_VARIABLES, run_fresh, two_blas_threads
@@ -318,6 +318,11 @@ class TestEvaluate:
             evaluate(np.zeros((5, 3)), ds, "test", [10])
         with pytest.raises(EvalError):
             evaluate(np.zeros((3, 2)), ds, "nope", [10])
+
+    def test_depth_below_one_rejected(self):
+        ds = simple_ds([[0]], 3, validation=[1], test=[2])
+        with pytest.raises(EvalError, match="depth must be >= 1, got 0"):
+            rank_all(np.ones((1 + 3, 2)), ds, "test", depth=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_embeddings_rejected(self, bad):

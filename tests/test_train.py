@@ -14,6 +14,7 @@ from conftest import (
     run_fresh,
     two_blas_threads,
 )
+from odecf.cli import load_checkpoint, save_checkpoint, write_training_log
 from odecf.data import synthetic_split, train_pairs
 from odecf.evaluation import evaluate
 from odecf.graph import build_adjacency
@@ -36,11 +37,8 @@ from odecf.train import (
     epoch_triplets,
     finite_difference_check,
     fit,
-    load_checkpoint,
     loss_and_grads,
     sample_triplets,
-    save_checkpoint,
-    write_training_log,
 )
 
 from test_graph import simple_ds, zero_adjacency
