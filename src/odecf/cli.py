@@ -17,7 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-# before numpy loads, one BLAS thread unless set: ranking scans on two threads of its own
+# before numpy loads, one BLAS thread unless set: OpenBLAS's dgemv sums in another order
+# at another thread count, which can flip a rank at a near-tie of about one ulp
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -91,6 +92,9 @@ class ExperimentConfig:
             if isinstance(value, str) and _COMMENT.search(value):
                 raise ConfigError(f"field {name!r}: {value!r} has a '#' at its start or "
                                   "after whitespace, which config.txt would read as a comment")
+            if isinstance(value, str) and value != value.strip():
+                raise ConfigError(f"field {name!r}: {value!r} has leading or trailing "
+                                  "whitespace, which config.txt would strip")
         if not self.dataset:
             raise ConfigError("field 'dataset': no interaction file configured")
         if not Path(self.dataset).exists():

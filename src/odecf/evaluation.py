@@ -14,16 +14,14 @@ screened in float32, over item chunks in descending float32-norm order (the
 copy's item rows are put in that order in place), the items likeliest to beat a
 target first: the first chunk is as many items as the first half of the
 buffer's bytes holds float32 scores for every user, and each later chunk
-doubles the scanned prefix (without ``depth``, one whole-catalog chunk). Two
-contiguous halves of the users are scanned at once, one on a worker thread,
-each in its own whole rows of that half and of the bool flags in the second. A
-chunk is scored in user blocks, excluded items NaN, and two compare passes into
-the flags add, per user, the items scoring above the target by more than its
-proven error margin (``_screen_margins``) and those scoring below it by more.
-The target's float32 score comes once from an einsum; the margin bounds any
-float32 evaluation order, so the GEMM's own score for the target column falls
-in neither count, and no block shape or split of the users changes a certified
-rank (the halves count at disjoint users). A user whose above-count reaches
+doubles the scanned prefix (without ``depth``, one whole-catalog chunk). A
+chunk is scored in user blocks that fit that half, excluded items NaN, and two
+compare passes into bool flags in the buffer's second half add, per user, the
+items scoring above the target by more than its proven error margin
+(``_screen_margins``) and those scoring below it by more. The target's float32
+score comes once from an einsum; the margin bounds any float32 evaluation
+order, so the GEMM's own score for the target column falls in neither count,
+and no block shape changes a certified rank. A user whose above-count reaches
 ``depth`` leaves the scan: its rank is past ``depth``. After the last chunk, a
 user whose two counts cover every other candidate (NaN falls in neither) is
 certified, for no float64 evaluation of the scores can order the target
@@ -32,7 +30,8 @@ certify (near-ties, exact ties, scores that could overflow or underflow
 float32) is ranked alone by ``_rank_alone``, from the float64 scores
 ``fe[n_users:] @ fe[u]`` with excluded items NaN, the product a brute-force
 sort of that user's scores takes. So every rank depends only on the user's own
-row and the item rows, not on the other users, the blocks or the halves.
+row and the item rows, not on the other users or the blocks. The whole call
+runs on the calling thread.
 
 The ranks stay in one int64 array, which ``evaluate`` and the metric
 reductions read as ``rank_all(...).ranks``. ``RankView`` holds only ``.ranks``
@@ -42,7 +41,6 @@ which reads ``.rank``; ROADMAP item 4 deletes the view once it reads ``.ranks``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -200,8 +198,8 @@ _BLOCK_BYTES = 8 << 20
 def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = None) -> RankView:
     """Held-out ranks for every user, ``min(rank, depth + 1)`` when ``depth``
     is given: screened in float32 over item chunks in descending norm order,
-    two halves of the users at once, in one reused buffer of at most
-    ``_BLOCK_BYTES``; each user it cannot certify is ranked alone in float64.
+    in user blocks in one reused buffer of at most ``_BLOCK_BYTES``; each user
+    the screen cannot certify is ranked alone in float64.
 
     Candidates are the items the user has not trained on; in test mode the
     user's validation item is excluded too."""
@@ -213,7 +211,7 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     if depth < 1:
         raise EvalError(f"depth must be >= 1, got {depth}")
     targets = ds.validation if mode == "validation" else ds.test
-    room = max(2, min(n_users, _BLOCK_BYTES // (8 * n_items))) * n_items  # a row per screen half
+    room = max(1, min(n_users, _BLOCK_BYTES // (8 * n_items))) * n_items
     # the buffer before the float32 copy: the other order made the next training epoch page-fault more
     scores = np.empty(room)
     # the float32 screen blocks fill the first half of its bytes, and their compare flags the second
@@ -238,7 +236,7 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     columns = position[excluded]
     # chunk k is positions [bounds[k], bounds[k + 1]): first as many as the screen holds for
     # every user, then doubling the prefix; one chunk when no user can leave early
-    bounds = [0, n_items if depth >= n_items else max(1, room // max(n_users, 2))]
+    bounds = [0, n_items if depth >= n_items else max(1, room // max(n_users, 1))]
     while bounds[-1] < n_items:
         bounds.append(min(2 * bounds[-1], n_items))
     chunk_of = np.repeat(np.arange(1, len(bounds), dtype=np.uint8), np.diff(bounds))[columns]
@@ -248,25 +246,18 @@ def rank_all(fe: np.ndarray, ds: SplitDataset, mode: str, depth: int | None = No
     count = np.uint16 if n_items < 1 << 16 else np.int32
     above, below = np.zeros(n_users, dtype=count), np.zeros(n_users, dtype=count)
 
-    def scan(users, screen, mask):  # only _blocks and numpy: it also runs on a worker thread
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            chunk = by[splits[k] : splits[k + 1]]
-            for part, block in _blocks(fe32[:n_users], items32[lo:hi], users, screen,
-                                       owners[chunk], columns[chunk] - lo):
-                # neither count takes NaN (excluded) or the target's own column (within its margin)
-                flags = mask[: block.size].reshape(block.shape)
-                np.greater(block, upper[part, None], out=flags)
-                above[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
-                np.less(block, lower[part, None], out=flags)
-                below[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
-            users = users[above[users] < depth]  # the others rank past depth
-
-    # two halves of the users at once, each in whole rows of its own half of screen and flags
-    cut, halves = room // (2 * n_items) * n_items, np.array_split(np.arange(n_users), 2)
-    with ThreadPoolExecutor(1) as pool:  # no thread outlives the call
-        first = pool.submit(scan, halves[0], screen[:cut], mask[:cut])
-        scan(halves[1], screen[cut:], mask[cut:])
-        first.result()  # re-raises what the worker raised
+    users = np.arange(n_users)
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        chunk = by[splits[k] : splits[k + 1]]
+        for part, block in _blocks(fe32[:n_users], items32[lo:hi], users, screen, owners[chunk],
+                                   columns[chunk] - lo):
+            # neither count takes NaN (excluded) or the target's own column (within its margin)
+            flags = mask[: block.size].reshape(block.shape)
+            np.greater(block, upper[part, None], out=flags)
+            above[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
+            np.less(block, lower[part, None], out=flags)
+            below[part] += np.add.reduce(flags.view(np.uint8), axis=1, dtype=count)
+        users = users[above[users] < depth]  # the others rank past depth
     certified = np.isfinite(upper) & np.isfinite(lower) & (above + below == n_items - 1 - counts)
     ranks = 1 + above.astype(np.int64)
     del fe32, items32

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,18 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 two_blas_threads = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2,
     reason="one core: BLAS runs one thread whatever the setting, so the two runs cannot differ")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that returns with threads alive that were not alive at its start:
+    ranking runs on the calling thread, and a sweep's process pool is shut down
+    before the sweep returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"threads still running after the test: {', '.join(left)}")
 
 
 def run_fresh(argv, **env):

@@ -142,17 +142,21 @@ class TestConfig:
         ("train", ["--set", "k_core"], "'k_core' is not key=value"),
         ("sweep", [], "--param"),
         ("sweep", ["--param", "t1", "--values", ""], "--values"),
+        # config.txt strips values, so these would not read back (the file exists)
+        ("train", ["--dataset", "raw.txt "], "'dataset': 'raw.txt ' has leading or trailing"),
+        ("train", ["--outdir", "run "], "'outdir': 'run ' has leading or trailing"),
     ])
     def test_error_exits_naming_its_field_or_flag(self, raw_file, tmp_path, monkeypatch, capsys,
                                                   verb, args, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("dims = 8\nnot a pair\n")
+        (tmp_path / "raw.txt ").write_bytes(raw_file.read_bytes())
         argv = [verb]
         for pair in fast_overrides(raw_file, tmp_path / "run"):
             argv += ["--set", pair]
         assert main(argv + args) == EXIT_CONFIG
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "run").exists() and not (tmp_path / "run ").exists()
 
     def test_hash_in_a_value_survives_config_txt(self, raw_file, tmp_path, capsys):
         dataset = tmp_path / "a#b" / "raw.txt"

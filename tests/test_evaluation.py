@@ -521,14 +521,14 @@ def test_rank_bits_do_not_depend_on_the_blas_thread_count():
 
 
 class TestSplitScreen:
-    """rank_all screens two halves of the users at once, the first on a worker
-    thread; neither the split nor the thread may change a rank."""
+    """rank_all screens the users in blocks of its one buffer, all on the calling
+    thread; no block split may change a rank."""
 
     @pytest.mark.parametrize("n_users", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", ["integer", "normal"])
     def test_one_row_budget_matches_lexsort_oracle(self, monkeypatch, n_users, kind):
-        # a one-row budget gives each half one row, so a half of several users takes
-        # several blocks; each user trains on three of 30 items and holds out two more
+        # a one-row budget gives the screen one row, so several users take several
+        # blocks; each user trains on three of 30 items and holds out two more
         rng = np.random.default_rng(60 + n_users)
         picks = [rng.choice(30, size=5, replace=False).tolist() for _ in range(n_users)]
         ds = simple_ds([p[:3] for p in picks], 30, validation=[p[3] for p in picks],
@@ -543,31 +543,43 @@ class TestSplitScreen:
                 got = rank_all(fe, ds, mode, depth=depth).ranks
                 assert got.tolist() == (want if depth is None else np.minimum(want, depth + 1)).tolist()
 
-    @pytest.mark.parametrize("failing", ["first", "second"])
-    def test_a_failing_half_raises_and_leaves_no_thread(self, monkeypatch, failing):
+    def test_a_failing_float32_product_raises_out_of_rank_all(self, monkeypatch):
         ds = synthetic_split(n_users=6, n_items=20, seed=62)
         fe = np.random.default_rng(63).normal(size=(ds.n_users + ds.n_items, 4))
-        threads = threading.active_count()
-        caller = threading.get_ident()
         real_matmul = np.matmul
 
         def matmul(a, b, **kwargs):
-            half = "second" if threading.get_ident() == caller else "first"
-            if a.dtype == np.float32 and half == failing:
-                raise RuntimeError(f"the {half} half failed")
+            if a.dtype == np.float32:
+                raise RuntimeError("the float32 product failed")
             return real_matmul(a, b, **kwargs)
 
         assert rank_all(fe, ds, "test").ranks.tolist() == lexsort_ranks(fe, ds, "test")
-        assert threading.active_count() == threads
         monkeypatch.setattr(np, "matmul", matmul)
         for depth in (None, 3):
-            with pytest.raises(RuntimeError, match=f"the {failing} half failed"):
+            with pytest.raises(RuntimeError, match="the float32 product failed"):
                 rank_all(fe, ds, "validation", depth=depth)
-            assert threading.active_count() == threads
+
+    def test_every_float32_product_runs_on_the_calling_thread(self, monkeypatch):
+        ds = synthetic_split(n_users=9, n_items=20, seed=66)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)  # a block per user
+        fe = np.random.default_rng(67).normal(size=(ds.n_users + ds.n_items, 4))
+        threads = []
+        real_matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            if a.dtype == np.float32:
+                threads.append(threading.get_ident())
+            return real_matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for depth in (None, 3):
+            rank_all(fe, ds, "test", depth=depth)
+        assert len(threads) > ds.n_users  # one block per user without depth, more with it
+        assert set(threads) == {threading.get_ident()}
 
     def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
-        # four callers and their four workers on two cores, switching every microsecond:
-        # a count lost between the halves, or one call touching another's buffer, moves a rank
+        # four callers on two cores, switching every microsecond: one call touching another's
+        # buffer or counts moves a rank
         ds = synthetic_split(n_users=9, n_items=20, seed=64)
         monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
         fe = np.random.default_rng(65).integers(-2, 3, size=(ds.n_users + ds.n_items, 3))
@@ -623,12 +635,11 @@ class TestDepth:
 
     @staticmethod
     def layered():
-        """8 users over 64 items. Items 48-63 have norms 100-115, so a one-user
-        budget (rounded up to a row for each half of the screen: chunks of 16, 16
-        and 32 items) scans them first: users 0-3 score them 100 to 115, above
-        every other item, and users 4-7 score them -100 to -115. Items 0-47
-        score -0.9 to 0.9 and hold the targets. A third coordinate names the
-        user and adds nothing."""
+        """8 users over 64 items. Items 48-63 have norms 100-115, so a two-row
+        budget (chunks of 16, 16 and 32 items) scans them first: users 0-3 score
+        them 100 to 115, above every other item, and users 4-7 score them -100 to
+        -115. Items 0-47 score -0.9 to 0.9 and hold the targets. A third
+        coordinate names the user and adds nothing."""
         rng = np.random.default_rng(33)
         fe = np.zeros((8 + 64, 3))
         fe[:8, 0] = 1.0
@@ -645,7 +656,7 @@ class TestDepth:
     @pytest.mark.parametrize("mode", ["validation", "test"])
     def test_target_in_a_later_chunk_than_its_winners(self, monkeypatch, mode):
         fe, ds = self.layered()
-        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 2 * 8 * ds.n_items)
         monkeypatch.setattr(odecf.evaluation, "_rank_alone", None)  # every user is certified
         full = lexsort_ranks(fe, ds, mode)
         assert min(full[:4]) > 16  # 15 winners in the first chunk, the target in a later one
@@ -655,27 +666,23 @@ class TestDepth:
 
     def test_users_past_depth_in_the_first_chunk_score_no_further(self, monkeypatch):
         fe, ds = self.layered()
-        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
-        scored = {}  # half -> (users, items) of each of its float32 blocks
-        caller = threading.get_ident()  # scans the second half; a worker scans the first
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 2 * 8 * ds.n_items)
+        scored = []  # (users, items) of each float32 block
         real_matmul = np.matmul
 
         def spy(a, b, **kwargs):
             if a.dtype == np.float32:
-                half = "second" if threading.get_ident() == caller else "first"
-                scored.setdefault(half, []).append((a[:, 2].astype(int).tolist(), b.shape[1]))
+                scored.append((a[:, 2].astype(int).tolist(), b.shape[1]))
             return real_matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         rank_all(fe, ds, "validation", depth=3)
-        # users 0-3 have 15 winners in the first chunk, so their half scores no further;
+        # users 0-3 have 15 winners in the first chunk, so they score no further;
         # users 4-7 have none there, and 8 in the second chunk
-        assert scored == {"first": [([0, 1, 2, 3], 16)],
-                          "second": [([4, 5, 6, 7], 16), ([4, 5, 6, 7], 16)]}
+        assert scored == [(list(range(8)), 16), ([4, 5, 6, 7], 16)]
         scored.clear()
-        rank_all(fe, ds, "validation")  # one whole-catalog chunk, one row a block
-        assert scored == {"first": [([u], 64) for u in range(4)],
-                          "second": [([u], 64) for u in range(4, 8)]}
+        rank_all(fe, ds, "validation")  # one whole-catalog chunk, two rows a block
+        assert scored == [([u, u + 1], 64) for u in range(0, 8, 2)]
 
     @pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("mode", ["validation", "test"])
