@@ -543,21 +543,32 @@ class TestSplitScreen:
                 got = rank_all(fe, ds, mode, depth=depth).ranks
                 assert got.tolist() == (want if depth is None else np.minimum(want, depth + 1)).tolist()
 
-    def test_a_failing_float32_product_raises_out_of_rank_all(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_a_failing_half_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        # a one-row budget screens the users in several blocks, one after another on the
+        # caller; the float32 product of the first or of the second block raises
         ds = synthetic_split(n_users=6, n_items=20, seed=62)
+        monkeypatch.setattr(odecf.evaluation, "_BLOCK_BYTES", 8 * ds.n_items)
         fe = np.random.default_rng(63).normal(size=(ds.n_users + ds.n_items, 4))
+        threads = threading.active_count()
         real_matmul = np.matmul
+        products = []
 
         def matmul(a, b, **kwargs):
             if a.dtype == np.float32:
-                raise RuntimeError("the float32 product failed")
+                products.append(None)
+                if len(products) == ("first", "second").index(failing) + 1:
+                    raise RuntimeError(f"the {failing} float32 product failed")
             return real_matmul(a, b, **kwargs)
 
         assert rank_all(fe, ds, "test").ranks.tolist() == lexsort_ranks(fe, ds, "test")
+        assert threading.active_count() == threads
         monkeypatch.setattr(np, "matmul", matmul)
         for depth in (None, 3):
-            with pytest.raises(RuntimeError, match="the float32 product failed"):
+            products.clear()
+            with pytest.raises(RuntimeError, match=f"the {failing} float32 product failed"):
                 rank_all(fe, ds, "validation", depth=depth)
+            assert threading.active_count() == threads
 
     def test_every_float32_product_runs_on_the_calling_thread(self, monkeypatch):
         ds = synthetic_split(n_users=9, n_items=20, seed=66)
