@@ -150,25 +150,29 @@ def parse_interactions(source, columns=("user", "item", "time")) -> tuple[Intera
     parsed = len(stamps)
     if parsed == 0:
         raise DataError("zero valid lines in interaction source")
-    t = np.frombuffer(stamps, dtype=np.int64)
     u, i = (np.fromiter(codes, dtype=np.int64, count=parsed) for codes in (users, items))
+    del users, items  # each name drops its buffer as soon as it has been read
 
     # A stable sort by pair keeps each pair's lines in file order, so each run
     # of equal pairs starts at the line where the pair was first seen.
     key = u * len(item_codes) + i
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    del key
+    earliest = np.minimum.reduceat(np.frombuffer(stamps, dtype=np.int64)[order], starts)
     first = order[starts]
+    del stamps, order, starts
     by_line = np.argsort(first)
-    line, earliest = first[by_line], np.minimum.reduceat(t[order], starts)[by_line]
+    line, earliest = first[by_line], earliest[by_line]
+    del first, by_line
 
     u, i = u[line], i[line]
     rows = np.zeros(line.size, dtype=_RECORD).view(np.recarray)  # np.empty is slow for object fields
-    for name, column in (("user", u), ("item", i), ("timestamp", earliest),
-                         ("user_key", np.array(list(user_codes), dtype=object)[u]),
-                         ("item_key", np.array(list(item_codes), dtype=object)[i])):
-        rows[name] = column
-    stats = ParseStats(parsed=parsed, duplicates=parsed - line.size, malformed=malformed)
+    rows["user"], rows["item"], rows["timestamp"] = u, i, earliest
+    del u, i, line, earliest
+    rows["user_key"] = np.array(list(user_codes), dtype=object)[rows["user"]]
+    rows["item_key"] = np.array(list(item_codes), dtype=object)[rows["item"]]
+    stats = ParseStats(parsed=parsed, duplicates=parsed - rows.size, malformed=malformed)
     return InteractionLog(rows), stats
 
 

@@ -129,6 +129,7 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
     <A^K e, probe>, read off the first hop product.
 
     ``overwrite`` hands ``e`` over: each step sums in its input's storage, to the same result.
+    Steps after the first always do, as their input is the previous step's own output.
     """
     cfg = state.solver
     e = _check_rows(e, state.adjacency)
@@ -161,11 +162,11 @@ def _integrate(state: ModelState, e: np.ndarray, probe: np.ndarray | None = None
                     y *= h / j
                 x = y
                 if keep_tangent and j == top:
-                    aux = e if j == 1 else acc.copy()
+                    aux = e if acc is None else acc.copy()
                 if acc is None:
                     acc = np.multiply(e, weight, out=e if overwrite else None)
                 acc += x if taylor else weight * x
-        e = acc  # frees the step's input before the check's mask
+        e, overwrite = acc, True  # frees the step's input; later steps sum in this output
         if not np.isfinite(e).all():
             raise SolverError("divergent propagation: non-finite embeddings")
     return e, aux

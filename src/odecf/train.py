@@ -28,6 +28,7 @@ class TrainError(ValueError):
 
 
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+_ADAM_SLICE = 1 << 15  # most elements Adam updates at a time: two scratch blocks of 256 KiB
 _FD_STEP = 1e-6  # central-difference step of the gradient check
 
 
@@ -121,7 +122,10 @@ def _triplets(ds: SplitDataset, rng, pick) -> TripletBatch:
     redo = np.arange(users.size)
     while True:  # keep the rows whose negative is a train key, and redraw them
         query = users[redo] * ds.n_items + neg[redo]
-        redo = redo[keys.take(np.searchsorted(keys, query), mode="clip") == query]
+        by = np.argsort(query)
+        at = np.empty_like(by)
+        at[by] = np.searchsorted(keys, query[by])  # sorted queries walk the keys in order
+        redo = redo[keys.take(at, mode="clip") == query]
         if not redo.size:
             return TripletBatch(users, items_all[idx], neg)
         neg[redo] = rng.integers(ds.n_items, size=redo.size)
@@ -175,45 +179,55 @@ def batch_loss(state, batch: TripletBatch, l2_lambda: float) -> float:
     return _score_head(batch, state, fe, l2_lambda)[0]
 
 
-def backward(batch: TripletBatch, state, fe, ctx, l2_lambda: float):
+def backward(batch: TripletBatch, state, l2_lambda: float):
     """Regularized batch loss and its exact gradient wrt e0 (and hop weights).
 
-    ``fe`` and ``ctx`` are what ``model_forward`` returned. With ``C`` holding
-    ``+coef[j]`` at (user j, positive j) and ``-coef[j]`` at (user j, negative
-    j), the score loss's gradient wrt ``fe`` is ``(C + C^T) @ fe``, which
-    ``model_backward`` carries back to e0; the L2 term's gradient is ``e0``
-    scaled row-wise by the use counts. Returns ``(loss, GradientSet)``.
+    Runs ``model_forward`` itself, so the final embeddings ``fe`` can go
+    before the reverse pass. With ``C`` holding ``+coef[j]`` at (user j,
+    positive j) and ``-coef[j]`` at (user j, negative j), the score loss's
+    gradient wrt ``fe`` is ``(C + C^T) @ fe``, which ``model_backward``
+    carries back to e0; the L2 term's gradient is ``e0`` scaled row-wise by
+    the use counts. Returns ``(loss, GradientSet)``.
     """
+    fe, ctx = model_forward(state)
     loss, coef, counts = _score_head(batch, state, fe, l2_lambda)
     n_users, n = state.adjacency.n_users, fe.shape[0]
     u, p, q = batch.users, n_users + batch.pos_items, n_users + batch.neg_items
     sym = sp.csr_matrix((np.concatenate([coef, -coef, coef, -coef]),  # C + C^T
                          (np.concatenate([u, u, p, q]), np.concatenate([p, q, u, u]))),
                         shape=(n, n))  # repeated entries are summed
-    d_e0, d_w = model_backward(state, ctx, sym @ fe, overwrite=True)  # nothing reads S @ fe again
+    fe = sym @ fe  # the cotangent; the final embeddings go before the reverse pass
+    d_e0, d_w = model_backward(state, ctx, fe, overwrite=True)  # nothing reads S @ fe again
     if l2_lambda:
         d_e0 += ((2.0 * l2_lambda / len(batch)) * counts)[:, None] * state.e0
     return loss, GradientSet(grad_e0=d_e0, grad_hop_weights=d_w)
 
 
 def loss_and_grads(state, batch: TripletBatch, l2_lambda: float):
-    fe, ctx = model_forward(state)
-    return backward(batch, state, fe, ctx, l2_lambda)
+    return backward(batch, state, l2_lambda)
 
 
 def adam_step(params, grads, opt: OptimizerState, lr: float) -> None:
-    """In-place bias-corrected Adam over parallel lists of parameter arrays."""
+    """In-place bias-corrected Adam over parallel lists of parameter arrays: the whole-array
+    ufuncs in order, over blocks of whole rows of at most ``_ADAM_SLICE`` elements (views in
+    any memory layout) at a time; ``grads`` are only read."""
     if len(params) != len(grads) or len(params) != len(opt.first_moment):
         raise TrainError("parameter/gradient/moment lists are not congruent")
     opt.step_count += 1
     c1 = 1.0 - _BETA1 ** opt.step_count
     c2 = 1.0 - _BETA2 ** opt.step_count
     for p, g, m, v in zip(params, grads, opt.first_moment, opt.second_moment):
-        m *= _BETA1
-        m += (1.0 - _BETA1) * g
-        v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPSILON)
+        rows = max(1, _ADAM_SLICE // max(1, p[:1].size))
+        a, b = np.empty((2, *p[:rows].shape))  # the two scratch blocks
+        for lo in range(0, len(p), rows):
+            ps, gs, ms, vs = (x[lo:lo + rows] for x in (p, g, m, v))
+            sa, sb = a[:len(ps)], b[:len(ps)]
+            ms *= _BETA1
+            ms += np.multiply(1.0 - _BETA1, gs, out=sa)
+            vs *= _BETA2
+            vs += np.multiply(1.0 - _BETA2, np.multiply(gs, gs, out=sa), out=sa)
+            np.add(np.sqrt(np.divide(vs, c2, out=sa), out=sa), _EPSILON, out=sa)
+            ps -= np.divide(np.multiply(lr, np.divide(ms, c1, out=sb), out=sb), sa, out=sb)
 
 
 def _trainables(state):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,19 @@ def no_thread_outlives_the_test():
     left = [thread.name for thread in threading.enumerate() if thread not in before]
     if left:
         pytest.fail(f"threads still running after the test: {', '.join(left)}")
+
+
+def traced_peak(fn, *args):
+    """Run ``fn(*args)`` under ``tracemalloc`` and return ``(peak, held)``: the most bytes
+    allocated at once during the call, and the bytes still allocated when it returned,
+    which hold what it returned."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)  # alive for the count, as the caller would hold it
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
 
 
 def run_fresh(argv, **env):

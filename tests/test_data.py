@@ -3,6 +3,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from odecf.cli import write_split
 from odecf.data import (
     DataError,
@@ -69,6 +70,28 @@ class TestParseInteractions:
         path.write_text("u1 i1 1\nu1 i2 2\n")
         log, stats = parse_interactions(path)
         assert len(log) == 2 and stats.parsed == 2
+
+    def test_traced_peak_stays_under_two_and_a_half_logs(self):
+        # each buffer goes once read: 1.81 logs here and 1.88 on the benchmark's
+        # wide-catalog seed-1 log; 3.49 and 3.57 if every buffer lives to the end
+        lines = wide_dirty_log(20_000, seed=1)
+        peak, held = traced_peak(parse_lines, lines)
+        assert peak < 2.5 * held
+
+
+def wide_dirty_log(n_lines, seed):
+    """Lines over 2.5 times more items than users, a fifth of them repeating an
+    earlier pair with another stamp and one in 25 without an integer stamp."""
+    rng = np.random.default_rng(seed)
+    users = rng.integers(n_lines // 20, size=n_lines).tolist()
+    items = rng.integers(n_lines // 8, size=n_lines).tolist()
+    stamps = rng.integers(10**9, 2 * 10**9, size=n_lines).tolist()
+    lines = []
+    for n, (u, i, t) in enumerate(zip(users, items, stamps)):
+        if n % 5 == 4:
+            u, i = users[n // 2], items[n // 2]
+        lines.append(f"u{u} i{i} x" if n % 25 == 24 else f"u{u}\ti{i}  {t}")
+    return lines
 
 
 def make_log(pairs):

@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from odecf.evaluation import (
     recall_at_n,
 )
 
-from conftest import BLAS_THREAD_VARIABLES, run_fresh, two_blas_threads
+from conftest import BLAS_THREAD_VARIABLES, run_fresh, traced_peak, two_blas_threads
 from test_graph import simple_ds
 
 
@@ -248,12 +247,7 @@ class TestEvaluate:
     def rank_all_peak_bytes():
         ds = synthetic_split(n_users=1500, n_items=5000, seed=14)
         fe = np.random.default_rng(15).normal(size=(ds.n_users + ds.n_items, 8))
-        tracemalloc.start()
-        try:
-            rank_all(fe, ds, "test")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(rank_all, fe, ds, "test")[0]
 
     def test_score_blocks_stay_within_budget(self):
         assert self.rank_all_peak_bytes() < 4 * odecf.evaluation._BLOCK_BYTES

@@ -12,6 +12,7 @@ from conftest import (
     lightgcn_state,
     make_state,
     run_fresh,
+    traced_peak,
     two_blas_threads,
 )
 from odecf.cli import load_checkpoint, save_checkpoint, write_training_log
@@ -295,57 +296,57 @@ class TestBackward:
     @pytest.mark.parametrize("model", ["euler", "lightgcn"])
     def test_backward_peak_stays_under_four_embedding_tables(self, model):
         # 3B x d is three times N x d here, so one 3B x d gather or cotangent
-        # alive next to the reverse pass's own N x d arrays breaks the bound;
-        # the reverse pass sums in the cotangent's storage: 3.35 tables
+        # alive next to the forward or reverse pass's own N x d arrays breaks the
+        # bound; the reverse pass sums in the cotangent's storage, and fe is gone
+        # before it: 3.35 tables, 4.35 if fe outlives S @ fe
         ds = synthetic_split(n_users=300, n_items=700, seed=3)
         state = model_state(ds, model, dims=32)
         batch = sample_triplets(ds, 1024, np.random.default_rng(2))
         assert 3 * len(batch) > state.e0.shape[0]
-        fe, ctx = model_forward(state)
-        backward(batch, state, fe, ctx, 1e-4)  # first call outside the trace
-        tracemalloc.start()
-        try:
-            backward(batch, state, fe, ctx, 1e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        backward(batch, state, 1e-4)  # first call outside the trace
+        peak, _ = traced_peak(backward, batch, state, 1e-4)
         assert peak < 4 * state.e0.nbytes
 
     @pytest.mark.parametrize("model", ["rk4", "rk4-weighted"])
     def test_rk4_backward_peak_stays_under_five_embedding_tables(self, model):
         # a step adds each power M^j e / j! into its sum, the step's input, as
-        # it comes, so beside that sum only the current power and the hop
-        # products of the next one are alive: 4.35 tables
+        # it comes (the forward pass from its second step on), so beside that
+        # sum only the current power and the hop products of the next one are
+        # alive, and the reverse pass runs after fe is gone: 4.35 tables, 5.35
+        # with the weighted tangent, which the bound adds; 5.35 and 6.35 if the
+        # forward pass allocates each step's sum and fe outlives S @ fe
         ds = synthetic_split(n_users=300, n_items=700, seed=3)
         state = model_state(ds, model, dims=32)
         batch = sample_triplets(ds, 1024, np.random.default_rng(2))
-        fe, ctx = model_forward(state)
-        backward(batch, state, fe, ctx, 1e-4)  # first call outside the trace
-        tracemalloc.start()
-        try:
-            backward(batch, state, fe, ctx, 1e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * state.e0.nbytes
+        tangent = model_forward(state)[1]
+        backward(batch, state, 1e-4)  # first call outside the trace
+        peak, _ = traced_peak(backward, batch, state, 1e-4)
+        assert peak < 5 * state.e0.nbytes + (0 if tangent is None else tangent.nbytes)
 
     @pytest.mark.parametrize("model", ["euler", "rk4-weighted", "lightgcn"])
     def test_backward_hands_its_cotangent_over(self, small_ds, monkeypatch, model):
-        # through odecf.train.model_backward, which the benchmark traces, to the kept call's bits
+        # through odecf.train.model_backward, which the benchmark traces, to the kept call's
+        # bits; the final embeddings are dead by then, so the reverse pass runs without them
         state = model_state(small_ds, model)
         batch = sample_triplets(small_ds, 16, np.random.default_rng(6))
-        calls = []
+        final, calls = [], []
+
+        def forward(state):
+            fe, ctx = model_forward(state)
+            final.append(weakref.ref(fe))
+            return fe, ctx
 
         def reverse(state, ctx, d_fe, overwrite=False):
-            calls.append(overwrite)
+            calls.append((overwrite, final[-1]() is None))
             want = model_backward(state, ctx, d_fe.copy())
             got = model_backward(state, ctx, d_fe, overwrite=overwrite)
             assert all((g is w is None) or (g == w).all() for g, w in zip(got, want))
             return got
 
+        monkeypatch.setattr(odecf.train, "model_forward", forward)
         monkeypatch.setattr(odecf.train, "model_backward", reverse)
         loss_and_grads(state, batch, 1e-3)
-        assert calls == [True]
+        assert calls == [(True, True)]
 
     def test_zero_length_integration_matches_mf_oracle(self, small_ds):
         state = make_state(small_ds, t1=1e-30, steps=1, n_hops=1, seed=3)
@@ -467,6 +468,25 @@ class TestAdam:
         adam_step([p], [g], opt, lr=0.01)
         expected = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.abs(p - expected).max() < 1e-15
+
+    def test_blocks_match_the_whole_array_expression(self):
+        # two full blocks and a ragged tail of a 2-D parameter, beside a hop-weight vector
+        size = 2 * odecf.train._ADAM_SLICE + 100
+        rng = np.random.default_rng(9)
+        params = [rng.normal(size=(size // 4, 4)), rng.normal(size=3)]
+        grads = [rng.normal(scale=1e-2, size=p.shape) for p in params]
+        opt = OptimizerState([rng.normal(scale=1e-2, size=p.shape) for p in params],
+                             [rng.normal(scale=1e-3, size=p.shape) ** 2 for p in params], 6)
+        want = []
+        for p, g, m, v in zip(params, grads, opt.first_moment, opt.second_moment):
+            m, v = 0.9 * m + (1.0 - 0.9) * g, 0.999 * v + (1.0 - 0.999) * (g * g)
+            step = 0.02 * (m / (1.0 - 0.9 ** 7)) / (np.sqrt(v / (1.0 - 0.999 ** 7)) + 1e-8)
+            want.append((p - step, m, v))
+        kept = [g.copy() for g in grads]
+        adam_step(params, grads, opt, lr=0.02)
+        for got, (p, m, v) in zip(zip(params, opt.first_moment, opt.second_moment), want):
+            assert all(np.array_equal(x, y) for x, y in zip(got, (p, m, v)))
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
         g = np.array([2.0])
@@ -600,14 +620,9 @@ class TestFit:
         monkeypatch.setattr(odecf.train, "model_forward", forward)
         monkeypatch.setattr(odecf.train, "epoch_triplets", triplets)
         cfg = TrainConfig(learning_rate=0.01, batch_size=256, max_epochs=2, patience=5, seed=0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fit(ds, state, cfg, hook)
-        finally:
-            tracemalloc.stop()
+        traced_peak(fit, ds, state, cfg, hook)  # readings count from 0 at its start
         assert len(at_hook) == 2 and len(at_forward) > 2
-        assert max(at_forward[1:] + at_hook) - base < 3.5 * state.e0.nbytes
+        assert max(at_forward[1:] + at_hook) < 3.5 * state.e0.nbytes
         assert kept == [False, False]
 
     def test_lightgcn_state_trains(self, toy_ds):
